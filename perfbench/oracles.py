@@ -8,6 +8,8 @@ from the program, from the input document or from a formula.
   the Lefschetz number of a monodromy P on Sym^n0 of the fiber.  The
   characteristic polynomial comes from integer principal minors
   (Bareiss fraction-free elimination), not from Faddeev-LeVerrier.
+- ``alexander_weighted_sum``: the weighted coefficient sum of the
+  Alexander form, which agrees with the single-twist value up to sign.
 - ``state_space_dim``: sum_k (nu + 1 - k) C(2g, k).
 - ``dim_entry``: c1, c1^2 = c1^T Q^-1 c1, the formal dimension
   (c1^2 - 2 chi - 3 sigma)/4, the fiber pairing and nu, read from a
@@ -94,6 +96,17 @@ def alexander_coefficients(rows: Matrix) -> list[int]:
     if coeffs[-1] < 0:
         coeffs = [-x for x in coeffs]
     return coeffs
+
+
+def alexander_weighted_sum(coeffs: Sequence[int], n0: int, g: int) -> int:
+    """sum_{i >= 1} i a(g - 1 - n0 + i), with a(-m) = a(m) and a = 0 past the top."""
+    top = len(coeffs) - 1
+
+    def a(m: int) -> int:
+        return coeffs[abs(m)] if abs(m) <= top else 0
+
+    d = g - 1 - n0
+    return sum(i * a(d + i) for i in range(1, top - d + 1))
 
 
 def matmul(a: Matrix, b: Matrix) -> list[list[int]]:

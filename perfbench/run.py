@@ -40,7 +40,7 @@ def fail(message: str) -> int:
 
 def run_quiet(cmd: list[str], env: dict) -> tuple[float, str]:
     """Wall seconds and stderr of a child that must succeed."""
-    elapsed, code, _, err = run_child(cmd, env, capture=True)
+    elapsed, code, _, err, _ = run_child(cmd, env)
     if code != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {code}: {err.strip()}")
     return elapsed, err
@@ -58,12 +58,11 @@ def import_split(env: dict) -> dict[str, float]:
     return {metric: statistics.median(values) for metric, values in samples.items()}
 
 
-def unit(metric: str) -> str:
-    fixed = {"setup_s": "s", "throughput_ops_per_s": "1/s", "peak_rss_mb": "MB",
-             "trace.overhead_pct": "%", "load.doc_bytes": "bytes"}
-    if metric in fixed:
-        return fixed[metric]
-    return "ms" if metric.startswith("latency_ms") or metric.endswith("ms") else "count"
+def declared_units(trace: int) -> dict[str, str]:
+    """The metrics a run reports, with their units, as BENCHMARK.json lists them."""
+    with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: m["unit"] for m in spec["per_layer" if trace else "end_to_end"]}
 
 
 def machine() -> dict:
@@ -123,13 +122,16 @@ def main() -> int:
         return fail(f"the worker exited {worker.returncode}")
     result = json.loads(stdout.strip().splitlines()[-1])
     metrics.update(result["metrics"])
+    units = declared_units(args.trace)
+    if metrics.keys() != units.keys():
+        return fail(f"the run measured {sorted(metrics)}, BENCHMARK.json lists {sorted(units)}")
 
     final = {
         "correct": result["wrong"] == 0,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {
-            name: {"value": value, "unit": unit(name)}
+            name: {"value": value, "unit": units[name]}
             for name, value in sorted(metrics.items())
         },
     }

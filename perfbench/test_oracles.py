@@ -51,6 +51,16 @@ class IntegerLinearAlgebra(unittest.TestCase):
         self.assertEqual(oracles.alexander_coefficients(ANOSOV), [-3, 1])
         self.assertEqual(oracles.alexander_coefficients([]), [1])
 
+    def test_alexander_weighted_sum(self):
+        # Anosov, g = 1: (a_0, a_1) = (-3, 1).  n0 = 1: a(0) + 2 a(1) = -1;
+        # n0 = 2: a(-1) + 2 a(0) + 3 a(1) = 1 - 6 + 3 = -2.
+        self.assertEqual(oracles.alexander_weighted_sum([-3, 1], 1, 1), -1)
+        self.assertEqual(oracles.alexander_weighted_sum([-3, 1], 2, 1), -2)
+        # Identity in genus 1: (-2, 1), n0 = 1: -2 + 2 = 0.
+        self.assertEqual(oracles.alexander_weighted_sum([-2, 1], 1, 1), 0)
+        # Genus 0, form (1,): n0 = 2 gives a(-2) + 2 a(-1) + 3 a(0) = 3.
+        self.assertEqual(oracles.alexander_weighted_sum([1], 2, 0), 3)
+
     def test_transvection_is_symplectic(self):
         for g, v in ((1, (1, 0)), (2, (1, -1, 0, 2)), (3, (0, 1, 1, -1, 0, 1))):
             for c in (-1, 1, 2):

@@ -36,23 +36,31 @@ CHILD_TIMEOUT_S = 60
 TRACED_CHILD = "import sys; sys.path.insert(0, sys.argv.pop(1)); import tracing; sys.exit(tracing.traced_cli(sys.argv[1:]))"
 
 
-def run_child(cmd: list[str], env: dict | None = None, capture: bool = False) -> tuple[float, int, str, str]:
-    """Run a process to its end; returns (wall seconds, exit code, stdout, stderr).
+def run_child(cmd: list[str], env: dict | None = None) -> tuple[float, int, str, str, float]:
+    """Run a process to its end.
 
-    ``subprocess`` waits for a child with a timeout by polling with sleeps
-    of up to 50 ms, which would round the wall time up to that grain.  The
-    wait here blocks, and a timer kills a child that hangs.
+    Returns (wall seconds, exit code, stdout, stderr, peak RSS in MB).  The
+    child is reaped with ``os.wait4``, a blocking wait that also gives the
+    child's own resource usage; ``subprocess``'s timed wait polls in sleeps
+    of up to 50 ms and would round the wall time up to that grain.  A timer
+    kills a child that hangs.
     """
-    pipe = subprocess.PIPE if capture else subprocess.DEVNULL
-    start = perf_counter()
-    proc = subprocess.Popen(cmd, env=env, stdout=pipe, stderr=pipe, text=True)
-    watchdog = threading.Timer(CHILD_TIMEOUT_S, proc.kill)
-    watchdog.start()
-    try:
-        out, err = proc.communicate()
-    finally:
-        watchdog.cancel()
-    return perf_counter() - start, proc.returncode, out or "", err or ""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as err_file:
+        start = perf_counter()
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=err_file, text=True)
+        watchdog = threading.Timer(CHILD_TIMEOUT_S, proc.kill)
+        watchdog.start()
+        try:
+            with proc.stdout:
+                out = proc.stdout.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            elapsed = perf_counter() - start
+        finally:
+            watchdog.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err_file.seek(0)
+        err = err_file.read()
+    return elapsed, proc.returncode, out, err, usage.ru_maxrss / 1024
 
 
 class InProcess:
@@ -79,6 +87,7 @@ class InProcess:
 class ColdCli:
     def __init__(self, workdir: str) -> None:
         self.spans_path = os.path.join(workdir, "spans.json")
+        self.peak_mb = 0.0
 
     def run(self, op, tracer=None) -> tuple[float, int, str]:
         env = dict(os.environ)
@@ -89,7 +98,8 @@ class ColdCli:
             env["PERFBENCH_SPANS"] = self.spans_path
             with contextlib.suppress(FileNotFoundError):
                 os.remove(self.spans_path)
-        elapsed, code, out, err = run_child(cmd, env, capture=True)
+        elapsed, code, out, err, rss_mb = run_child(cmd, env)
+        self.peak_mb = max(self.peak_mb, rss_mb)
         if tracer is not None:
             with open(self.spans_path, encoding="utf-8") as fh:
                 child = json.load(fh)
@@ -97,8 +107,8 @@ class ColdCli:
         return elapsed, code, out if code == 0 else err
 
     def peak_rss_mb(self) -> float:
-        # The largest lagmatch process this worker has waited for.
-        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        """The largest lagmatch process this runner has waited for."""
+        return self.peak_mb
 
 
 class Tally:
@@ -107,12 +117,18 @@ class Tally:
         self.failed = 0
         self.wrong = 0
         self.latencies: list[float] = []
-        self.busy = 0.0
+        self.wall = 0.0
 
     def run_round(self, runner, ops, tracer=None) -> float:
-        """Run and check one round; returns the time spent inside the program."""
+        """Run and check one round; returns the time spent inside the program.
+
+        ``wall`` adds up the wall time of the rounds, operations and checks
+        together: the timed phase, without the input generation and the
+        set-up samples that fall between rounds.
+        """
         ctx: dict = {}
         spent = 0.0
+        round_start = perf_counter()
         for op in ops:
             self.attempted += 1
             if tracer is not None:
@@ -136,7 +152,7 @@ class Tally:
                 log_failure(op, f"wrong answer: {err!r}")
                 continue
             self.latencies.append(elapsed)
-        self.busy += spent
+        self.wall += perf_counter() - round_start
         return spent
 
 
@@ -152,7 +168,7 @@ def log_failure(op, message: str) -> None:
 
 def setup_sample() -> float:
     """Wall time of a fresh interpreter importing lagmatch.cli."""
-    elapsed, code, _, err = run_child([sys.executable, "-c", "import lagmatch.cli"], capture=True)
+    elapsed, code, _, err, _ = run_child([sys.executable, "-c", "import lagmatch.cli"])
     if code != 0:
         raise RuntimeError(f"importing lagmatch.cli exited {code}: {err.strip()}")
     return elapsed
@@ -178,7 +194,7 @@ def timed_run(runner, make_round, seconds: float) -> dict:
             "latency_ms_p50": statistics.median(lat_ms),
             "latency_ms_p90": statistics.quantiles(lat_ms, n=10, method="inclusive")[8]
             if len(lat_ms) > 1 else lat_ms[0],
-            "throughput_ops_per_s": len(lat_ms) / tally.busy,
+            "throughput_ops_per_s": len(lat_ms) / tally.wall,
             "peak_rss_mb": runner.peak_rss_mb(),
         })
     return {"attempted": tally.attempted, "failed": tally.failed, "wrong": tally.wrong,

@@ -57,11 +57,15 @@ class Report:
         )
 
     def has(self, *path: Any) -> bool:
-        try:
-            self.get(*path)
-        except (KeyError, IndexError):
-            return False
-        return True
+        """Whether the report holds ``path``, as a field or as a prefix of fields."""
+        if self.data is not None:
+            try:
+                self.get(*path)
+            except (KeyError, IndexError):
+                return False
+            return True
+        key = _flat_key(path)
+        return any(k == key or k.startswith((key + ".", key + "[")) for k in self.flat)
 
     def get(self, *path: Any) -> Any:
         if self.data is not None:
@@ -69,10 +73,14 @@ class Report:
             for p in path:
                 node = node[p]
             return node
-        key = ""
-        for p in path:
-            key = f"{key}[{p}]" if isinstance(p, int) else (f"{key}.{p}" if key else p)
-        return _parse_flat(self.flat[key])
+        return _parse_flat(self.flat[_flat_key(path)])
+
+
+def _flat_key(path: Sequence[Any]) -> str:
+    key = ""
+    for p in path:
+        key = f"{key}[{p}]" if isinstance(p, int) else (f"{key}.{p}" if key else p)
+    return key
 
 
 def _parse_flat(text: str) -> Any:
@@ -107,20 +115,26 @@ def check_cycle(doc: dict, value_rule: Callable[[int, Report, dict], None]) -> C
 
 
 def macdonald_rule(matrices: Sequence, g: int, n0: int) -> Callable:
-    """Twist-only words: the Macdonald coefficient of the product monodromy."""
+    """Twist-only words: the Macdonald coefficient of the product monodromy.
+
+    The program's documented global sign is the one that makes the value
+    equal the coefficient itself (the sphere at n0 = 2 gives 3, not -3),
+    so the value must match with its sign.
+    """
     product = [[int(i == j) for j in range(2 * g)] for i in range(2 * g)]
     for m in matrices:
         product = oracles.matmul(m, product)
     want = oracles.macdonald_coefficient(product, n0)
     alex = oracles.alexander_coefficients(product) if len(matrices) == 1 else None
+    wsum_want = oracles.alexander_weighted_sum(alex, n0, g) if alex is not None else None
 
     def rule(value: int, r: Report, ctx: dict) -> None:
-        expect(value in (want, -want), f"value {value} != +-{want} (Macdonald)")
+        expect(value == want, f"value {value} != {want} (Macdonald)")
         if alex is not None:
             expect(r.get("fibered_crosscheck", "agrees") is True, "fibered crosscheck disagrees")
             expect(r.get("fibered_crosscheck", "alexander_coefficients") == alex, "Alexander form")
             wsum = r.get("fibered_crosscheck", "weighted_coefficient_sum")
-            expect(abs(wsum) == abs(want), f"weighted sum {wsum} != +-{want}")
+            expect(wsum == wsum_want, f"weighted sum {wsum} != {wsum_want}")
 
     return rule
 
