@@ -59,12 +59,11 @@ from .spinc import (
     nu_function,
     taubes_convert,
 )
-from .symprod import RegimeViolation, RelationNeeded
+from .symprod import RegimeViolation, RelationNeeded, poincare_polynomial_dimension
 from .tqft import (
     ElementaryMove,
     MorseCycle,
     NonClosingCycle,
-    SymSpace,
     alexander_cycle_value,
     alexander_fibered,
     evaluate_cycle,
@@ -217,7 +216,10 @@ def _parse_spinc_entries(
     entries = []
     for k, entry in enumerate(_section(doc, "spinc")):
         if "c1" in entry:
-            entries.append((SpinC(_as_int_list(entry["c1"], f"spinc[{k}].c1")), None))
+            c1 = _as_int_list(entry["c1"], f"spinc[{k}].c1")
+            if descriptor is not None and len(c1) != descriptor.h2.rank:
+                raise _Exit(3, "coordinate lengths differ")
+            entries.append((SpinC(c1), None))
         else:
             beta = _as_int_list(entry["beta"], f"spinc[{k}].beta")
             if descriptor is None:
@@ -308,10 +310,7 @@ def cmd_tqft_eval(args: argparse.Namespace) -> dict:
     doc = _load_document(args.input)
     cycle = _parse_cycle(_section(doc, "morse_cycle"))
     value = evaluate_cycle(cycle)
-    dims = [
-        SymSpace(cycle.nu(j), SymplecticLattice(g)).dim
-        for j, g in enumerate(cycle.fibers)
-    ]
+    dims = [poincare_polynomial_dimension(cycle.nu(j), g) for j, g in enumerate(cycle.fibers)]
     report: dict[str, Any] = {
         "command": "tqft-eval",
         "n0": cycle.n0,
@@ -371,6 +370,11 @@ def cmd_cz(args: argparse.Namespace) -> dict:
     doc = _load_document(args.input)
     section = _section(doc, "cz")
     paths = section["paths"] if "paths" in section else [section["samples"]]
+    for p, path in enumerate(paths):
+        for i, sample in enumerate(path):
+            if len({len(row) for row in sample}) > 1:
+                where = f"cz.paths[{p}][{i}]" if "paths" in section else f"cz.samples[{i}]"
+                raise _Exit(2, f"{where}: rows of different lengths")
     results = []
     total = 0
     for path in paths:

@@ -4,9 +4,10 @@ A broken fibration over the circle decomposes into elementary pieces:
 surgery *down* along an embedded circle in the fiber (genus drops by one,
 symmetric-product degree drops by one), surgery *up* (both rise by one),
 and fiberwise diffeomorphism *twists* (an integer symplectic matrix on
-first homology).  Each piece induces an exact linear map between the
-monomial models of the symmetric-product cohomologies; a closed cycle of
-pieces composes to an endomorphism whose graded supertrace is the
+first homology).  Each piece is an integer map e_S -> image(S) on the
+exterior algebra of first homology, acting on the monomial model of the
+symmetric-product cohomology by U^i e_S -> U^i image(S); a closed cycle
+of pieces composes to an endomorphism whose graded supertrace is the
 invariant of the total space.  The supertrace is taken over homological
 degree; all published values are canonical up to one global sign.
 
@@ -23,6 +24,8 @@ that the supertrace equals.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -35,7 +38,6 @@ from .exterior import (
     adapted_basis,
     contract,
     ext_power_action,
-    supertrace,
 )
 from .symprod import Monomial, SymClass, basis, cap_U_quantum_g0, monomial_degree
 
@@ -103,24 +105,6 @@ class SymLinearMap:
         self.dst = dst
         self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
 
-    @classmethod
-    def from_function(
-        cls,
-        src: SymSpace,
-        dst: SymSpace,
-        fn: Callable[[SymClass], SymClass],
-    ) -> "SymLinearMap":
-        rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-        for c, key in enumerate(src.monomials):
-            image = fn(src.element(key))
-            for ikey, coeff in image.terms.items():
-                rows[dst.index[ikey]][c] = coeff
-        return cls(src, dst, rows)
-
-    @classmethod
-    def zero(cls, src: SymSpace, dst: SymSpace) -> "SymLinearMap":
-        return cls(src, dst, [[Fraction(0)] * src.dim for _ in range(dst.dim)])
-
     def apply(self, x: SymClass) -> SymClass:
         coords = self.src.coords(x)
         terms = {}
@@ -147,88 +131,92 @@ class SymLinearMap:
         return SymLinearMap(other.src, self.dst, rows)
 
 
-def _twist_class(matrix: SpMatrix, x: SymClass) -> SymClass:
-    """Apply a symplectic matrix to the Lambda-factor of every monomial."""
-    if matrix.lattice != x.lattice:
-        raise ValueError("matrix lattice does not match the class")
-    out = SymClass.zero(x.n, x.lattice)
-    for (i, subset), coeff in x.terms.items():
-        moved = ext_power_action(matrix, ExtElement(x.lattice, {subset: coeff}))
-        out = out + SymClass.from_ext(x.n, moved, u_power=i)
-    return out
+Subset = tuple[int, ...]
+Image = Callable[[Subset], dict[Subset, int]]
 
 
-def twist_map(matrix: SpMatrix, n: int) -> SymLinearMap:
-    """The endomorphism of Sym^n induced by a fiberwise diffeomorphism."""
-    space = SymSpace(n, matrix.lattice)
-    return SymLinearMap.from_function(space, space, lambda x: _twist_class(matrix, x))
+def _integral(image: Callable[[Subset], ExtElement]) -> Image:
+    """Memoize an exterior-level map on basis monomials, with int coefficients.
+
+    Each move applies integer matrices or pairings to a unit monomial.
+    """
+    return functools.cache(lambda s: {t: int(c) for t, c in image(s).terms.items()})
 
 
-def _is_zero_class(circle: Sequence[int]) -> bool:
-    return not any(circle)
+def _twist_image(matrix: SpMatrix) -> Image:
+    """A fiberwise diffeomorphism on the exterior algebra: e_S -> M e_S."""
+    lattice = matrix.lattice
+    return _integral(lambda s: ext_power_action(matrix, ExtElement(lattice, {s: 1})))
 
 
-def down_map(circle: Sequence[int], n: int, lattice: SymplecticLattice) -> SymLinearMap:
-    """Surgery down along a circle: Sym^n(genus g) -> Sym^{n-1}(genus g-1).
+def _down_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:
+    """Surgery down along a circle on the exterior algebra, genus g -> g-1.
 
     A separating circle (zero homology class) induces the zero map.  An
     essential circle must be primitive; the map conjugates the standard
     contraction along a_1 by an adapted symplectic basis sending the
     circle class to a_1.
     """
-    g = lattice.genus
-    if g < 1:
+    if lattice.genus < 1:
         raise NonClosingCycle("down surgery needs positive fiber genus")
-    if n < 1:
-        raise NonClosingCycle("down surgery needs symmetric degree n >= 1")
-    src = SymSpace(n, lattice)
-    dst = SymSpace(n - 1, SymplecticLattice(g - 1))
     circle = lattice.check_vector(circle)
-    if _is_zero_class(circle):
-        return SymLinearMap.zero(src, dst)
+    if not any(circle):
+        return lambda s: {}
     frame = adapted_basis(lattice, circle)
     a1 = lattice.basis_vector(0)
     kill = LatticeProjection.kill_first_pair(lattice)
-
-    def fn(x: SymClass) -> SymClass:
-        framed = _twist_class(frame, x)
-        out = SymClass.zero(dst.n, dst.lattice)
-        for (i, subset), coeff in framed.terms.items():
-            piece = contract(a1, ExtElement(lattice, {subset: coeff}), kill)
-            out = out + SymClass.from_ext(dst.n, piece, u_power=i)
-        return out
-
-    return SymLinearMap.from_function(src, dst, fn)
+    return _integral(
+        lambda s: contract(a1, ext_power_action(frame, ExtElement(lattice, {s: 1})), kill)
+    )
 
 
-def up_map(circle: Sequence[int], n: int, lattice: SymplecticLattice) -> SymLinearMap:
-    """Surgery up along a circle: Sym^n(genus g) -> Sym^{n+1}(genus g+1).
+def _up_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:
+    """Surgery up along a circle on the exterior algebra, genus g -> g+1.
 
     The circle class lives on the *target* surface (it is the belt circle
     of the new handle).  A zero class again induces the zero map; an
     essential one conjugates the standard insertion of a_1 by the inverse
     adapted frame.
     """
-    g = lattice.genus
-    src = SymSpace(n, lattice)
-    target_lattice = SymplecticLattice(g + 1)
-    dst = SymSpace(n + 1, target_lattice)
-    circle = target_lattice.check_vector(circle)
+    target = SymplecticLattice(lattice.genus + 1)
+    circle = target.check_vector(circle)
+    if not any(circle):
+        return lambda s: {}
+    frame_inv = adapted_basis(target, circle).inverse()
     include = LatticeProjection.include_after_first_pair(lattice)
-    if _is_zero_class(circle):
-        return SymLinearMap.zero(src, dst)
-    frame_inv = adapted_basis(target_lattice, circle).inverse()
+    a1 = ExtElement.generator(target, 0)
+    return _integral(
+        lambda s: ext_power_action(frame_inv, a1 * include.map_element(ExtElement(lattice, {s: 1})))
+    )
 
-    def fn(x: SymClass) -> SymClass:
-        out = SymClass.zero(dst.n, dst.lattice)
-        for (i, subset), coeff in x.terms.items():
-            included = include.map_element(ExtElement(lattice, {subset: coeff}))
-            front = ExtElement.generator(target_lattice, 0) * included
-            out = out + SymClass.from_ext(dst.n, front, u_power=i)
-        return out
 
-    raw = SymLinearMap.from_function(src, dst, fn)
-    return twist_map(frame_inv, dst.n) @ raw
+def _lift(image: Image, src: SymSpace, dst: SymSpace) -> SymLinearMap:
+    """The matrix of U^i e_S -> U^i image(S): every move fixes the U-power."""
+    rows = [[0] * src.dim for _ in range(dst.dim)]
+    for c, (i, subset) in enumerate(src.monomials):
+        for t, coeff in image(subset).items():
+            rows[dst.index[(i, t)]][c] = coeff
+    return SymLinearMap(src, dst, rows)
+
+
+def twist_map(matrix: SpMatrix, n: int) -> SymLinearMap:
+    """The endomorphism of Sym^n induced by a fiberwise diffeomorphism."""
+    space = SymSpace(n, matrix.lattice)
+    return _lift(_twist_image(matrix), space, space)
+
+
+def down_map(circle: Sequence[int], n: int, lattice: SymplecticLattice) -> SymLinearMap:
+    """Surgery down along a circle: Sym^n(genus g) -> Sym^{n-1}(genus g-1)."""
+    image = _down_image(circle, lattice)
+    if n < 1:
+        raise NonClosingCycle("down surgery needs symmetric degree n >= 1")
+    return _lift(image, SymSpace(n, lattice), SymSpace(n - 1, SymplecticLattice(lattice.genus - 1)))
+
+
+def up_map(circle: Sequence[int], n: int, lattice: SymplecticLattice) -> SymLinearMap:
+    """Surgery up along a circle: Sym^n(genus g) -> Sym^{n+1}(genus g+1)."""
+    target = SymplecticLattice(lattice.genus + 1)
+    return _lift(_up_image(circle, lattice), SymSpace(n, lattice), SymSpace(n + 1, target))
 
 
 class ElementaryMove:
@@ -324,19 +312,24 @@ class MorseCycle:
         return f"MorseCycle(fibers={self.fibers}, moves=[{kinds}], n0={self.n0})"
 
 
+def _move_image(move: ElementaryMove, genus: int) -> Image:
+    """The exterior-level map of a move out of a fiber of the given genus."""
+    if move.kind == "twist":
+        assert move.matrix is not None
+        return _twist_image(move.matrix)
+    assert move.circle is not None
+    surgery = _down_image if move.kind == "down" else _up_image
+    return surgery(move.circle, SymplecticLattice(genus))
+
+
 def move_matrix(cycle: MorseCycle, j: int) -> SymLinearMap:
     """The exact matrix of move j of a validated cycle."""
-    move = cycle.moves[j]
-    nu = cycle.nu(j)
-    lattice = SymplecticLattice(cycle.fibers[j])
-    if move.kind == "down":
-        assert move.circle is not None
-        return down_map(move.circle, nu, lattice)
-    if move.kind == "up":
-        assert move.circle is not None
-        return up_map(move.circle, nu, lattice)
-    assert move.matrix is not None
-    return twist_map(move.matrix, nu)
+    after = (j + 1) % len(cycle.moves)
+    return _lift(
+        _move_image(cycle.moves[j], cycle.fibers[j]),
+        SymSpace(cycle.nu(j), SymplecticLattice(cycle.fibers[j])),
+        SymSpace(cycle.nu(after), SymplecticLattice(cycle.fibers[after])),
+    )
 
 
 def cycle_composite(cycle: MorseCycle) -> SymLinearMap:
@@ -354,25 +347,26 @@ def cycle_composite(cycle: MorseCycle) -> SymLinearMap:
 def evaluate_cycle(cycle: MorseCycle) -> Fraction:
     """Graded supertrace of the composite around a closed cycle.
 
-    The composite endomorphism preserves homological degree; the value is
-    sum over degrees k of (-1)^k tr(composite restricted to degree k), and
-    is canonical up to one overall sign.
+    Every move fixes the U-power i, so the fiber-0 model Sym^{n0} splits
+    into n0 - k + 1 copies of Lambda^k, one per i, on each of which the
+    composite acts as the composite C_k of the exterior-level maps.  The
+    value is sum over k of (-1)^k (n0 - k + 1) tr C_k, canonical up to
+    one overall sign.
     """
-    composite = cycle_composite(cycle)
-    space = composite.src
-    degrees = space.degrees()
-    # The composite must be block diagonal in the degree grading.
-    for r in range(space.dim):
-        for c in range(space.dim):
-            if degrees[r] != degrees[c] and composite.rows[r][c]:
-                raise AssertionError(
-                    "composite mixes homological degrees; cycle bookkeeping is broken"
-                )
-    blocks: dict[int, list[list[Fraction]]] = {}
-    for k in sorted(set(degrees)):
-        idx = [i for i, d in enumerate(degrees) if d == k]
-        blocks[k] = [[composite.rows[r][c] for c in idx] for r in idx]
-    return supertrace(blocks)
+    images = [_move_image(move, g) for move, g in zip(cycle.moves, cycle.fibers)]
+    rank = 2 * cycle.fibers[0]
+    total = 0
+    for k in range(min(cycle.n0, rank) + 1):
+        for start in itertools.combinations(range(rank), k):
+            vector = {start: 1}
+            for image in images:
+                pushed: dict[Subset, int] = {}
+                for subset, coeff in vector.items():
+                    for t, c in image(subset).items():
+                        pushed[t] = pushed.get(t, 0) + coeff * c
+                vector = {t: c for t, c in pushed.items() if c}
+            total += (-1) ** k * (cycle.n0 - k + 1) * vector.get(start, 0)
+    return Fraction(total)
 
 
 class ConnectedSumReport:
@@ -397,7 +391,7 @@ def connected_sum_invariant(cycle: MorseCycle) -> ConnectedSumReport:
     factor responsible.  Raises ValueError if no move separates.
     """
     for j, move in enumerate(cycle.moves):
-        if move.kind in ("down", "up") and move.circle is not None and _is_zero_class(move.circle):
+        if move.kind in ("down", "up") and move.circle is not None and not any(move.circle):
             value = evaluate_cycle(cycle)
             if value != 0:
                 raise AssertionError("separating surgery produced a nonzero evaluation")
@@ -510,7 +504,9 @@ def alexander_cycle_value(form: AlexanderForm, n: int, g: int) -> Fraction:
         raise ValueError("n and g must be nonnegative")
     D = g - 1 - n
     top = form.degree
-    return sum((Fraction(i) * form.a(D + i) for i in range(1, top - D + 1)), Fraction(0))
+    # a(D + i) vanishes unless |D + i| <= top.
+    terms = range(max(1, -top - D), top - D + 1)
+    return sum((Fraction(i) * form.a(D + i) for i in terms), Fraction(0))
 
 
 def weighted_exterior_dimension(d: int, g: int) -> int:
@@ -582,7 +578,7 @@ def worked_example(name: str, m: int, n: int) -> ExampleReport:
         lattice = SymplecticLattice(0)
         exponent = (m + 1) * (n + 1) - 1
         state = SymClass.monomial(n, lattice, 0, ())
-        for _ in range(exponent):
+        for _ in range(exponent % (n + 1)):
             state = cap_U_quantum_g0(state)
         value = state.coefficient(n, ())
         return ExampleReport(
@@ -598,11 +594,10 @@ def worked_example(name: str, m: int, n: int) -> ExampleReport:
                 ("positivity gate: negative parameter forces vanishing",),
             )
         torus = SymplecticLattice(1)
-        start = SymClass.monomial(n, torus, 0, (1,))  # the b_1 monomial
-        down = down_map(torus.basis_vector(0), n, torus)
-        state = down.apply(start)
+        surgered = _down_image(torus.basis_vector(0), torus)((1,))  # the b_1 monomial
+        state = SymClass(n - 1, SymplecticLattice(0), {(0, t): c for t, c in surgered.items()})
         exponent = n * (m + 1) - 1
-        for _ in range(exponent):
+        for _ in range(exponent % n):
             state = cap_U_quantum_g0(state)
         value = state.coefficient(n - 1, ())
         if abs(value) != 1 or len(state.terms) != 1:

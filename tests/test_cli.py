@@ -226,6 +226,52 @@ def test_resolution_guard_exits_4():
     assert "refine" in out.stderr
 
 
+def test_ragged_cz_sample_exits_2():
+    samples = [[[1, 0], [0]]] + [[[1.0, 0.1 * k], [0.0, 1.0]] for k in range(1, 5)]
+    out = run_cli(["cz", "--input", "-"], stdin=doc(cz={"samples": samples}))
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "cz.samples[0]" in lines[0]
+
+
+def test_gradings_c1_of_wrong_length_exits_3():
+    fix = json.loads(json.dumps(FIXTURES["s2xs2-product"]))
+    fix["spinc"] = [{"c1": [2, 2, 2]}]
+    out = run_cli(["gradings", "--input", "-"], stdin=json.dumps(fix))
+    assert out.returncode == 3
+    assert "coordinate lengths differ" in out.stderr
+
+
+def test_tqft_eval_huge_n0_stays_bounded():
+    """A 21-digit n0 costs no more than a small one: no memory or time blowup."""
+    import resource
+
+    limit = 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    n0 = "100000000000000000000"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("LAGMATCH_THREADS", None)
+    for fibers, matrix, expected in (
+        ([0], [], int(n0) + 1),
+        ([1], [[2, 1], [1, 1]], -int(n0)),
+    ):
+        cycle = {"n0": n0, "fibers": fibers, "moves": [{"kind": "twist", "matrix": matrix}]}
+        out = subprocess.run(
+            [sys.executable, "-m", "lagmatch", "tqft-eval", "--input", "-", "--json"],
+            input=doc(morse_cycle=cycle),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert out.returncode == 0, out.stderr
+        assert int(json.loads(out.stdout)["value"]) == expected
+
+
 # -- determinism ----------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -367,3 +368,53 @@ def test_s1s3_needs_positive_n():
 def test_unknown_example():
     with pytest.raises(KeyError):
         worked_example("nope", 0, 0)
+
+
+def test_evaluation_matches_reference_composite():
+    """Degree-by-degree evaluation equals the graded trace of the dense composite."""
+    rng = random.Random(37)
+    cycles = []
+    for trial in range(48):
+        kind = trial % 4
+        if kind == 0:
+            g, n0 = rng.randint(0, 3), rng.randint(0, 3)
+            lat = SymplecticLattice(g)
+            moves = [ElementaryMove.twist(random_sp(rng, lat)) for _ in range(rng.randint(1, 2))]
+            cycles.append(MorseCycle([g] * len(moves), moves, n0))
+            continue
+        g = rng.randint(1, 3)
+        n0 = rng.randint(1, 2 if g == 3 else 3)
+        if kind == 1:
+            fibers = [g, g - 1, g - 1, g]
+            moves = [
+                ElementaryMove.down(random_primitive(rng, 2 * g)),
+                ElementaryMove.twist(random_sp(rng, SymplecticLattice(g - 1), length=2)),
+                ElementaryMove.up(random_primitive(rng, 2 * g)),
+                ElementaryMove.twist(random_sp(rng, SymplecticLattice(g), length=2)),
+            ]
+            r = rng.randint(0, 3)
+            cycles.append(
+                MorseCycle(fibers[r:] + fibers[:r], moves[r:] + moves[:r], n0 + fibers[r] - g)
+            )
+            continue
+        circles = [random_primitive(rng, 2 * g), random_primitive(rng, 2 * g)]
+        if kind == 2:
+            circles[rng.randint(0, 1)] = (0,) * (2 * g)
+        moves = [ElementaryMove.down(circles[0]), ElementaryMove.up(circles[1])]
+        cycles.append(MorseCycle([g, g - 1], moves, n0))
+    for cycle in cycles:
+        comp = cycle_composite(cycle)
+        reference = sum(
+            (-1) ** len(subset) * comp.rows[r][r]
+            for r, (_, subset) in enumerate(comp.src.monomials)
+        )
+        assert evaluate_cycle(cycle) == reference, cycle
+
+
+def test_worked_examples_at_large_parameters():
+    start = time.perf_counter()
+    report = worked_example("s2xs2", 1000, 1000)
+    assert (report.value, report.monomial) == (1, "U^1000")
+    report = worked_example("s1s3-sum", 1000, 1000)
+    assert (report.value, report.monomial) == (-1, "U^999 lambda")
+    assert time.perf_counter() - start < 1.0
