@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import os
 import re
@@ -129,6 +130,18 @@ def _reject_floats(value: Any, path: tuple[Any, ...] = ()) -> None:
             _reject_floats(v, path + (k,))
 
 
+@functools.cache
+def _schema_validator() -> Any:
+    """A validator for INPUT_SCHEMA, built on first use.
+
+    The constant schema is checked against its meta-schema once per
+    process; ``jsonschema.validate`` would repeat that on every document.
+    """
+    cls = jsonschema.validators.validator_for(INPUT_SCHEMA)
+    cls.check_schema(INPUT_SCHEMA)
+    return cls(INPUT_SCHEMA)
+
+
 def _load_document(source: str | None) -> dict:
     if source is None:
         raise _Exit(2, "an input document is required: --input FILE, --input -, "
@@ -150,11 +163,10 @@ def _load_document(source: str | None) -> dict:
             raise _Exit(2, f"malformed JSON: {err}") from err
     if not isinstance(doc, dict):
         raise _Exit(2, "input document must be a JSON object")
-    try:
-        jsonschema.validate(doc, INPUT_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(doc))
+    if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "(root)"
-        raise _Exit(2, f"schema violation at {where}: {err.message}") from err
+        raise _Exit(2, f"schema violation at {where}: {err.message}")
     _reject_floats(doc)
     return doc
 

@@ -15,15 +15,18 @@ are computed by counting the transpositions needed to merge sorted index
 tuples.  Everything in this module is exact; no floats anywhere.
 
 Matrices act on column vectors (v maps to M @ v), and ``ext_power_action``
-extends that action to wedge monomials factorwise.
+extends that action to wedge monomials factorwise.  ``ext_power_images`` is
+the same action on basis monomials with ``int`` coefficients, for integer
+matrices on a hot path.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class SymplecticLattice:
@@ -460,6 +463,45 @@ def ext_power_action(matrix: SpMatrix, x: ExtElement) -> ExtElement:
             term = wedge(term, ExtElement.from_vector(lattice, matrix.column(i)))
         out = out + term
     return out
+
+
+def ext_power_images(
+    rows: Sequence[Sequence[int]],
+) -> Callable[[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """The action S -> Lambda(M) e_S of an integer matrix on basis monomials.
+
+    The image of e_{s_1} ^ ... ^ e_{s_k} is the image of its first k - 1
+    factors wedged with column s_k of M; e_i moves into place past the
+    indices of each term above i, which gives the Koszul sign.  Images are
+    memoized per prefix in a dict that only the returned function holds,
+    and it holds no reference to itself, so dropping it frees the memo at
+    once.  The returned dicts are shared and must not be mutated.
+    """
+    columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(len(rows))]
+    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
+
+    def image(subset: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        found = memo.get(subset)
+        if found is not None:
+            return found
+        known = len(subset) - 1
+        while subset[:known] not in memo:
+            known -= 1
+        current = memo[subset[:known]]
+        for end in range(known, len(subset)):
+            out: dict[tuple[int, ...], int] = {}
+            for t, c in current.items():
+                for i, m in columns[subset[end]]:
+                    pos = bisect.bisect_left(t, i)
+                    if pos < len(t) and t[pos] == i:
+                        continue
+                    key = t[:pos] + (i,) + t[pos:]
+                    out[key] = out.get(key, 0) + (-c * m if (len(t) - pos) & 1 else c * m)
+            current = {t: c for t, c in out.items() if c}
+            memo[subset[:end + 1]] = current
+        return current
+
+    return image
 
 
 def supertrace(blocks: Mapping[int, Sequence[Sequence[Fraction | int]]]) -> Fraction:

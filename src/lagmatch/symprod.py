@@ -254,18 +254,19 @@ def cap_U_classical(x: SymClass) -> SymClass:
     )
 
 
-def cap_U_quantum_g0(x: SymClass) -> SymClass:
-    """Quantum U-action for genus 0: U^i -> U^{i+1 mod (n+1)}.
+def cap_U_quantum_g0(x: SymClass, exponent: int = 1) -> SymClass:
+    """Quantum U-action for genus 0: U^i -> U^{i+e mod (n+1)}, e the exponent.
 
     Sym^n of the sphere is CP^n and the point class wraps to the
-    fundamental class with period n + 1.
+    fundamental class with period n + 1, so the e-th power of the U-step
+    is one cyclic shift.
     """
     if x.lattice.genus != 0:
         raise RegimeViolation("genus-0 quantum action applied to positive genus")
     period = x.n + 1
     out: dict[Monomial, Fraction] = {}
     for (i, s), c in x.terms.items():
-        key = ((i + 1) % period, s)
+        key = ((i + exponent) % period, s)
         out[key] = out.get(key, Fraction(0)) + c
     return SymClass(x.n, x.lattice, out)
 

@@ -24,6 +24,7 @@ that the supertrace equals.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -38,6 +39,7 @@ from .exterior import (
     adapted_basis,
     contract,
     ext_power_action,
+    ext_power_images,
 )
 from .symprod import Monomial, SymClass, basis, cap_U_quantum_g0, monomial_degree
 
@@ -149,6 +151,21 @@ def _twist_image(matrix: SpMatrix) -> Image:
     return _integral(lambda s: ext_power_action(matrix, ExtElement(lattice, {s: 1})))
 
 
+def _down_frame(circle: Sequence[int], lattice: SymplecticLattice) -> SpMatrix | None:
+    """The frame sending a down circle to a_1, or None for a separating circle."""
+    if lattice.genus < 1:
+        raise NonClosingCycle("down surgery needs positive fiber genus")
+    circle = lattice.check_vector(circle)
+    return adapted_basis(lattice, circle) if any(circle) else None
+
+
+def _up_frame(circle: Sequence[int], lattice: SymplecticLattice) -> SpMatrix | None:
+    """The inverse frame of an up circle on the target, or None if separating."""
+    target = SymplecticLattice(lattice.genus + 1)
+    circle = target.check_vector(circle)
+    return adapted_basis(target, circle).inverse() if any(circle) else None
+
+
 def _down_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:
     """Surgery down along a circle on the exterior algebra, genus g -> g-1.
 
@@ -157,12 +174,9 @@ def _down_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:
     contraction along a_1 by an adapted symplectic basis sending the
     circle class to a_1.
     """
-    if lattice.genus < 1:
-        raise NonClosingCycle("down surgery needs positive fiber genus")
-    circle = lattice.check_vector(circle)
-    if not any(circle):
+    frame = _down_frame(circle, lattice)
+    if frame is None:
         return lambda s: {}
-    frame = adapted_basis(lattice, circle)
     a1 = lattice.basis_vector(0)
     kill = LatticeProjection.kill_first_pair(lattice)
     return _integral(
@@ -178,11 +192,10 @@ def _up_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:
     essential one conjugates the standard insertion of a_1 by the inverse
     adapted frame.
     """
-    target = SymplecticLattice(lattice.genus + 1)
-    circle = target.check_vector(circle)
-    if not any(circle):
+    frame_inv = _up_frame(circle, lattice)
+    if frame_inv is None:
         return lambda s: {}
-    frame_inv = adapted_basis(target, circle).inverse()
+    target = frame_inv.lattice
     include = LatticeProjection.include_after_first_pair(lattice)
     a1 = ExtElement.generator(target, 0)
     return _integral(
@@ -344,6 +357,50 @@ def cycle_composite(cycle: MorseCycle) -> SymLinearMap:
     return composite
 
 
+def _push(image: Image, vector: dict[Subset, int]) -> dict[Subset, int]:
+    """Apply a map given on basis monomials to an integer vector."""
+    out: dict[Subset, int] = {}
+    for s, c in vector.items():
+        for t, m in image(s).items():
+            out[t] = out.get(t, 0) + c * m
+    return {t: c for t, c in out.items() if c}
+
+
+def _contract_a1(vector: dict[Subset, int], kill: LatticeProjection) -> dict[Subset, int]:
+    """The contraction with a_1 after a down frame, as a relabelling.
+
+    Only b_1 pairs with a_1 (b_1 . a_1 = -1), and the projection kills a_1,
+    so just the terms with b_1 and without a_1 survive.
+    """
+    b1 = kill.source.genus
+    out: dict[Subset, int] = {}
+    for t, c in vector.items():
+        pos = bisect.bisect_left(t, b1)
+        if pos < len(t) and t[pos] == b1:
+            rest = kill.map_subset(t[:pos] + t[pos + 1:])
+            if rest is not None:
+                out[rest] = c if pos & 1 else -c
+    return out
+
+
+def _insert_a1(vector: dict[Subset, int], include: LatticeProjection) -> dict[Subset, int]:
+    """e_S -> a_1 ^ e_S, with S included after the first pair."""
+    return {(0,) + include.map_subset(t): c for t, c in vector.items()}
+
+
+def _after_first_pair(matrix: SpMatrix, include: LatticeProjection) -> SpMatrix:
+    """1 + M on genus g + 1: M on the handles after the first pair, which it fixes.
+
+    The a_1 insertion intertwines the two: a_1 ^ (M x) = (1 + M)(a_1 ^ x).
+    """
+    rank = include.target.rank
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for i, row in zip(include.images, matrix.rows):
+        for j, x in zip(include.images, row):
+            rows[i][j] = x
+    return SpMatrix(include.target, rows)
+
+
 def evaluate_cycle(cycle: MorseCycle) -> Fraction:
     """Graded supertrace of the composite around a closed cycle.
 
@@ -352,20 +409,56 @@ def evaluate_cycle(cycle: MorseCycle) -> Fraction:
     composite acts as the composite C_k of the exterior-level maps.  The
     value is sum over k of (-1)^k (n0 - k + 1) tr C_k, canonical up to
     one overall sign.
+
+    Lambda is a functor, so the twists since the last surgery act as the
+    exterior power of their integer product, which folds into the next
+    down frame.  An up is the a_1 insertion followed by its inverse frame;
+    the insertion carries what is pending across as 1 + P, and the frame
+    times 1 + P stays pending.  Each surgery thus costs one relabelling,
+    each down one integer exterior power, and whatever is pending at the
+    end of the word one more.  Every circle is checked before a
+    separating one short-circuits to zero.
     """
-    images = [_move_image(move, g) for move, g in zip(cycle.moves, cycle.fibers)]
+    stages: list[Callable[[dict[Subset, int]], dict[Subset, int]]] = []
+    pending: SpMatrix | None = None
+    separating = False
+    for move, genus in zip(cycle.moves, cycle.fibers):
+        if move.kind == "twist":
+            assert move.matrix is not None
+            pending = move.matrix if pending is None else move.matrix @ pending
+            continue
+        assert move.circle is not None
+        lattice = SymplecticLattice(genus)
+        if move.kind == "down":
+            frame = _down_frame(move.circle, lattice)
+            if frame is not None:
+                power = ext_power_images((frame if pending is None else frame @ pending).rows)
+                kill = LatticeProjection.kill_first_pair(lattice)
+                stages.append(lambda v, power=power, kill=kill: _contract_a1(_push(power, v), kill))
+            pending = None
+        else:
+            frame = _up_frame(move.circle, lattice)
+            include = LatticeProjection.include_after_first_pair(lattice)
+            stages.append(lambda v, include=include: _insert_a1(v, include))
+            if frame is not None and pending is not None:
+                frame = frame @ _after_first_pair(pending, include)
+            pending = frame
+        separating |= frame is None
+    if separating:
+        return Fraction(0)
+    last = None if pending is None else ext_power_images(pending.rows)
     rank = 2 * cycle.fibers[0]
     total = 0
     for k in range(min(cycle.n0, rank) + 1):
+        weight = (-1) ** k * (cycle.n0 - k + 1)
         for start in itertools.combinations(range(rank), k):
             vector = {start: 1}
-            for image in images:
-                pushed: dict[Subset, int] = {}
-                for subset, coeff in vector.items():
-                    for t, c in image(subset).items():
-                        pushed[t] = pushed.get(t, 0) + coeff * c
-                vector = {t: c for t, c in pushed.items() if c}
-            total += (-1) ** k * (cycle.n0 - k + 1) * vector.get(start, 0)
+            for stage in stages:
+                vector = stage(vector)
+            if last is None:
+                total += weight * vector.get(start, 0)
+            else:
+                total += weight * sum(c * last(t).get(start, 0) for t, c in vector.items())
     return Fraction(total)
 
 
@@ -409,25 +502,24 @@ def connected_sum_invariant(cycle: MorseCycle) -> ConnectedSumReport:
 # -- the fibered (no-surgery) case ------------------------------------
 
 
-def _char_poly(rows: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Coefficients c[0..N] of det(tI - A) = sum c[k] t^k (Faddeev-LeVerrier)."""
+def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients c[0..N] of det(tI - A) = sum c[k] t^k (Faddeev-LeVerrier).
+
+    For an integer matrix every division by k is exact.
+    """
     N = len(rows)
     if any(len(row) != N for row in rows):
         raise ValueError("matrix must be square")
-    A = [[Fraction(x) for x in row] for row in rows]
-    B = [[Fraction(1) if i == j else Fraction(0) for j in range(N)] for i in range(N)]
-    cs = [Fraction(1)]
+    B = [[int(i == j) for j in range(N)] for i in range(N)]
+    cs = [1]
     for k in range(1, N + 1):
-        AB = [
-            [sum((A[i][l] * B[l][j] for l in range(N)), Fraction(0)) for j in range(N)]
-            for i in range(N)
-        ]
-        ck = -sum((AB[i][i] for i in range(N)), Fraction(0)) / k
+        AB = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in rows]
+        trace = sum(AB[i][i] for i in range(N))
+        if trace % k:
+            raise AssertionError("characteristic polynomial of an integer matrix must be integral")
+        ck = -(trace // k)
         cs.append(ck)
-        B = [
-            [AB[i][j] + (ck if i == j else 0) for j in range(N)]
-            for i in range(N)
-        ]
+        B = [[x + ck if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AB)]
     return [cs[N - m] for m in range(N + 1)]
 
 
@@ -485,8 +577,6 @@ def alexander_fibered(monodromy: SpMatrix | Sequence[Sequence[int]]) -> Alexande
         raise ValueError("monodromy must act on an even-rank lattice")
     g = N // 2
     c = _char_poly(rows)
-    if any(coeff.denominator != 1 for coeff in c):
-        raise AssertionError("characteristic polynomial of an integer matrix must be integral")
     if any(c[k] != c[N - k] for k in range(N + 1)):
         raise ValueError(
             "characteristic polynomial is not palindromic: matrix is not symplectic"
@@ -577,9 +667,7 @@ def worked_example(name: str, m: int, n: int) -> ExampleReport:
             )
         lattice = SymplecticLattice(0)
         exponent = (m + 1) * (n + 1) - 1
-        state = SymClass.monomial(n, lattice, 0, ())
-        for _ in range(exponent % (n + 1)):
-            state = cap_U_quantum_g0(state)
+        state = cap_U_quantum_g0(SymClass.monomial(n, lattice, 0, ()), exponent % (n + 1))
         value = state.coefficient(n, ())
         return ExampleReport(
             name, m, n, value, f"U^{n}",
@@ -597,8 +685,7 @@ def worked_example(name: str, m: int, n: int) -> ExampleReport:
         surgered = _down_image(torus.basis_vector(0), torus)((1,))  # the b_1 monomial
         state = SymClass(n - 1, SymplecticLattice(0), {(0, t): c for t, c in surgered.items()})
         exponent = n * (m + 1) - 1
-        for _ in range(exponent % n):
-            state = cap_U_quantum_g0(state)
+        state = cap_U_quantum_g0(state, exponent % n)
         value = state.coefficient(n - 1, ())
         if abs(value) != 1 or len(state.terms) != 1:
             raise AssertionError("model evaluation did not land on a single unit monomial")

@@ -5,10 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from unittest import mock
 
+import jsonschema
 import pytest
 
+from lagmatch import cli
 from lagmatch.cli import _jsonable, main
 from lagmatch.fixtures import FIXTURES
 
@@ -322,3 +326,47 @@ def test_jsonable_big_ints():
 def test_main_returns_exit_code():
     assert main(["example", "s2xs2", "--m", "0", "--n", "0"]) == 0
     assert main(["example", "zzz", "--m", "0", "--n", "0"]) == 2
+
+
+def test_schema_checked_once_per_process():
+    validator = jsonschema.validators.validator_for(cli.INPUT_SCHEMA)
+    original = validator.check_schema
+    calls = []
+
+    def counted(cls, schema, *args, **kwargs):
+        calls.append(schema)
+        return original(schema, *args, **kwargs)
+
+    cli._schema_validator.cache_clear()
+    with mock.patch.object(validator, "check_schema", classmethod(counted)):
+        for name in sorted(FIXTURES) * 2:
+            cli._load_document(f"fixture:{name}")
+    assert len(calls) == 1
+
+
+def test_separating_down_then_non_primitive_up_exits_3(tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    path.write_text(doc(morse_cycle={
+        "n0": 1,
+        "fibers": [2, 1],
+        "moves": [
+            {"kind": "down", "circle": [0, 0, 0, 0]},
+            {"kind": "up", "circle": [2, 0, 0, 2]},
+        ],
+    }))
+    assert main(["tqft-eval", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: circle class must be primitive\n")
+
+
+def test_examples_at_a_million_answer_quickly(capsys):
+    for argv, monomial in (
+        (["example", "s2xs2", "--m", "0", "--n", "1000000", "--json"], "U^1000000"),
+        (["example", "s1s3-sum", "--m", "1", "--n", "1000000", "--json"], "U^999999 lambda"),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0, argv
+        report = json.loads(capsys.readouterr().out)
+        assert report["monomial"] == monomial
+        assert abs(report["value"]) == 1

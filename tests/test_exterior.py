@@ -1,5 +1,6 @@
 """Exact exterior-algebra layer: wedge signs, contraction, symplectic frames."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from lagmatch.exterior import (
     adapted_basis,
     contract,
     ext_power_action,
+    ext_power_images,
     intersection,
     supertrace,
     theta_divided,
@@ -314,3 +316,19 @@ def test_supertrace_of_single_block_is_trace():
         d = rng.randint(1, 4)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
         assert supertrace({0: rows}) == sum(rows[i][i] for i in range(d))
+
+
+def test_integer_kernel_matches_ext_power_action():
+    rng = random.Random(53)
+    assert ext_power_images(())(()) == {(): 1}
+    for g in range(1, 4):
+        lat = SymplecticLattice(g)
+        for _ in range(4):
+            m = random_sp(rng, lat)
+            image = ext_power_images(m.rows)
+            for k in range(lat.rank + 1):
+                for subset in itertools.combinations(range(lat.rank), k):
+                    want = ext_power_action(m, ExtElement(lat, {subset: 1}))
+                    got = image(subset)
+                    assert got == want.terms, (g, subset)
+                    assert all(type(c) is int for c in got.values())

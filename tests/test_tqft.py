@@ -418,3 +418,77 @@ def test_worked_examples_at_large_parameters():
     report = worked_example("s1s3-sum", 1000, 1000)
     assert (report.value, report.monomial) == (-1, "U^999 lambda")
     assert time.perf_counter() - start < 1.0
+
+
+def graded_trace(cycle):
+    comp = cycle_composite(cycle)
+    return sum(
+        (-1) ** len(subset) * comp.rows[r][r]
+        for r, (_, subset) in enumerate(comp.src.monomials)
+    )
+
+
+def folding_words(rng, count):
+    """Seeded words whose twists fold into neighbouring frames.
+
+    Runs of two or three twists, twists on both sides of a down and of an
+    up, every rotation (so words start and end on twists or on surgeries),
+    genus-0 fibers, and separating circles.
+    """
+    def circle(rank):
+        return (0,) * rank if rng.random() < 0.15 else random_primitive(rng, rank)
+
+    def twists(g, low, high):
+        lat = SymplecticLattice(g)
+        count = rng.randint(low, high)
+        return [ElementaryMove.twist(random_sp(rng, lat, length=2)) for _ in range(count)]
+
+    words = []
+    for trial in range(count):
+        kind = trial % 3
+        if kind == 0:
+            g = rng.randint(0, 3)
+            n0 = rng.randint(0, 2 if g == 3 else 3)
+            moves = twists(g, 2, 3)
+            words.append(MorseCycle([g] * len(moves), moves, n0))
+            continue
+        if kind == 1:
+            # twists, down, twists, up, twists around a genus g >= 1 fiber
+            g = rng.randint(1, 3)
+            runs = [twists(g, 0, 2), twists(g - 1, 1, 2), twists(g, 0, 2)]
+            moves = runs[0] + [ElementaryMove.down(circle(2 * g))] + runs[1]
+            moves += [ElementaryMove.up(circle(2 * g))] + runs[2]
+            fibers = [g] * (len(runs[0]) + 1) + [g - 1] * (len(runs[1]) + 1) + [g] * len(runs[2])
+        else:
+            # up from a fiber of genus g >= 0, twists above, down again
+            g = rng.randint(0, 2)
+            runs = [twists(g, 0, 2), twists(g + 1, 1, 2)]
+            moves = runs[0] + [ElementaryMove.up(circle(2 * g + 2))] + runs[1]
+            moves += [ElementaryMove.down(circle(2 * g + 2))]
+            fibers = [g] * (len(runs[0]) + 1) + [g + 1] * (len(runs[1]) + 1)
+        # the degree over the top fiber; the reference composite costs
+        # seconds at genus 3 and degree 3
+        top = max(fibers)
+        nu_top = rng.randint(1, 2 if top == 3 else 3)
+        r = rng.randrange(len(moves))
+        words.append(
+            MorseCycle(fibers[r:] + fibers[:r], moves[r:] + moves[:r], nu_top + fibers[r] - top)
+        )
+    return words
+
+
+def test_folded_evaluation_matches_reference_composite():
+    """Twists folded into surgery frames give the graded trace of the composite."""
+    words = folding_words(random.Random(41), 60)
+    assert any(any(m.circle is not None and not any(m.circle) for m in w.moves) for w in words)
+    for cycle in words:
+        assert evaluate_cycle(cycle) == graded_trace(cycle), cycle
+
+
+def test_separating_down_before_non_primitive_up_still_fails():
+    """Every circle is checked before a separating one short-circuits."""
+    cycle = MorseCycle(
+        [2, 1], [ElementaryMove.down((0, 0, 0, 0)), ElementaryMove.up((2, 0, 0, 2))], 1
+    )
+    with pytest.raises(ValueError, match="^circle class must be primitive$"):
+        evaluate_cycle(cycle)
