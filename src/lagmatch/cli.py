@@ -89,7 +89,10 @@ def _as_int(value: Any, what: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # longer than the interpreter's int_max_str_digits
+            raise _Exit(2, f"{what}: digit string too long ({len(value)} characters)") from None
     raise _Exit(2, f"{what}: expected an integer or digit string, got {value!r}")
 
 
@@ -424,7 +427,10 @@ def _human_lines(value: Any, prefix: str, out: list[str]) -> None:
 
 
 def _render(report: dict, as_json: bool) -> str:
-    data = _jsonable(report)
+    try:
+        data = _jsonable(report)
+    except ValueError:  # an int longer than the interpreter's int_max_str_digits
+        raise _Exit(2, "result too long to print: an integer has too many digits") from None
     if as_json:
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
     lines: list[str] = []
@@ -439,6 +445,7 @@ def _validate_threads() -> int:
     return int(raw)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagmatch",
@@ -476,7 +483,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _validate_threads()
-        report = _COMMANDS[args.command](args)
+        text = _render(_COMMANDS[args.command](args), args.json)
     except _Exit as err:
         print(f"error: {err.message}", file=sys.stderr)
         return err.code
@@ -487,7 +494,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResolutionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    sys.stdout.write(_render(report, args.json))
+    sys.stdout.write(text)
     return 0
 
 

@@ -192,9 +192,6 @@ class ExtElement:
             raise ValueError(f"element is not homogeneous, degrees {sorted(ds)}")
         return ds.pop()
 
-    def homogeneous_part(self, k: int) -> "ExtElement":
-        return ExtElement(self.lattice, {s: c for s, c in self.terms.items() if len(s) == k})
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -302,14 +299,6 @@ class LatticeProjection:
             if image is None:
                 return None
             out.append(image)
-        return tuple(out)
-
-    def map_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        v = self.source.check_vector(v)
-        out = [0] * self.target.rank
-        for i, image in enumerate(self.images):
-            if image is not None:
-                out[image] += v[i]
         return tuple(out)
 
     def map_element(self, x: ExtElement) -> ExtElement:
@@ -502,18 +491,6 @@ def ext_power_images(
         return current
 
     return image
-
-
-def supertrace(blocks: Mapping[int, Sequence[Sequence[Fraction | int]]]) -> Fraction:
-    """Alternating sum over degrees k of the trace of the degree-k block."""
-    total = Fraction(0)
-    for k, block in blocks.items():
-        size = len(block)
-        if any(len(row) != size for row in block):
-            raise ValueError(f"degree-{k} block is not square")
-        tr = sum((Fraction(block[i][i]) for i in range(size)), Fraction(0))
-        total += -tr if k & 1 else tr
-    return total
 
 
 def transvection(lattice: SymplecticLattice, v: Sequence[int], c: int = 1) -> SpMatrix:

@@ -76,7 +76,7 @@ class FibrationDescriptor:
             raise DescriptorError("canonical class has the wrong length")
         if any((h2.canonical[j] - h2.form[j][j]) % 2 for j in range(rank)):
             raise DescriptorError("canonical class must be characteristic")
-        if _det(h2.form) == 0:
+        if _solve(h2.form, h2.canonical) is None:
             raise DescriptorError("intersection form must be nonsingular")
         for r, region in enumerate(regions):
             if not region.fibers:
@@ -103,34 +103,14 @@ class FibrationDescriptor:
         self.h2 = h2
 
 
-def _det(rows: Sequence[Sequence[int]]) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                a[r] = [a[r][j] - factor * a[col][j] for j in range(n)]
-    return det
-
-
-def _solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
-    """Solve Q x = rhs exactly (Q nonsingular)."""
+def _solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction] | None:
+    """Solve Q x = rhs exactly; None if Q is singular."""
     n = len(rows)
     a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
-            raise DescriptorError("intersection form is singular")
+            return None
         a[col], a[pivot] = a[pivot], a[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
@@ -173,6 +153,8 @@ def is_characteristic(spinc: SpinC, h2: H2Model) -> bool:
 def c1_squared(spinc: SpinC, h2: H2Model) -> int:
     """c_1^2 via the inverse intersection form; must come out an integer."""
     x = _solve(h2.form, spinc.c1)
+    if x is None:
+        raise DescriptorError("intersection form is singular")
     value = sum((Fraction(c) * xi for c, xi in zip(spinc.c1, x)), Fraction(0))
     if value.denominator != 1:
         raise DescriptorError(f"c_1^2 = {value} is not an integer in this H^2 model")
@@ -206,22 +188,6 @@ def taubes_convert(beta: Sequence[int], descriptor: FibrationDescriptor) -> Spin
     if len(beta) != h2.rank:
         raise ValueError("beta has the wrong length")
     return SpinC(tuple(h2.canonical[j] + 2 * int(beta[j]) for j in range(h2.rank)))
-
-
-def taubes_invert(spinc: SpinC, descriptor: FibrationDescriptor) -> tuple[int, ...]:
-    """Inverse of taubes_convert; fails if any coordinate difference is odd."""
-    h2 = descriptor.h2
-    if len(spinc.c1) != h2.rank:
-        raise ValueError("c_1 has the wrong length")
-    out = []
-    for j in range(h2.rank):
-        diff = spinc.c1[j] - h2.canonical[j]
-        if diff % 2:
-            raise ValueError(
-                f"coordinate {j}: c_1 - canonical is odd; not in the image of the Taubes map"
-            )
-        out.append(diff // 2)
-    return tuple(out)
 
 
 def fiber_pairings(spinc: SpinC, descriptor: FibrationDescriptor) -> list[int]:
@@ -336,74 +302,6 @@ def admissibility(spinc: SpinC, descriptor: FibrationDescriptor) -> Admissibilit
     return AdmissibilityReport(regime, tuple(verdicts))
 
 
-class MonotonicityFlags(NamedTuple):
-    monotone: bool
-    two_negative: bool
-    separating_ok: bool | None
-    c_min: int
-
-
-def monotonicity_flags(
-    n: int, g: int, g1: int | None = None, g2: int | None = None
-) -> MonotonicityFlags:
-    """Arithmetic regime flags for symmetric degree n over fiber genus g.
-
-    ``monotone``: n >= g.  ``two_negative``: 4n <= 2g - 1.
-    ``separating_ok`` (when a splitting g = g1 + g2 is given):
-    2n <= min(g1, g2).  ``c_min`` = |n + 1 - g| bounds the drop of the
-    evaluation degree.
-    """
-    if (g1 is None) != (g2 is None):
-        raise ValueError("give both splitting genera or neither")
-    sep = None
-    if g1 is not None and g2 is not None:
-        if g1 + g2 != g:
-            raise ValueError("splitting genera must sum to g")
-        sep = 2 * n <= min(g1, g2)
-    return MonotonicityFlags(
-        monotone=n >= g,
-        two_negative=4 * n <= 2 * g - 1,
-        separating_ok=sep,
-        c_min=abs(n + 1 - g),
-    )
-
-
-class PerturbedClass(NamedTuple):
-    """The perturbed monotone class w and its presentation coefficients."""
-
-    w: tuple[Fraction, ...]
-    prefactor: Fraction  # 1 + lambda n
-    theta_coefficient: Fraction  # -lambda / 2
-
-
-def w_lambda(
-    lam: Fraction | int,
-    gamma: Sequence[Fraction | int],
-    c1: Sequence[int],
-    n: int,
-    chi: int,
-) -> PerturbedClass:
-    """w = (lambda gamma + c_1/(chi + 2n)) / (1 + lambda n), exactly.
-
-    Requires 1 + lambda n > 0 (automatic for n = 0) and chi + 2n != 0.
-    The identity (1 + lambda n) w = lambda gamma + c_1/(chi + 2n) is
-    re-asserted coordinatewise after the division.
-    """
-    lam = Fraction(lam)
-    if len(gamma) != len(c1):
-        raise ValueError("gamma and c_1 must have the same length")
-    prefactor = 1 + lam * n
-    if prefactor <= 0:
-        raise ValueError(f"1 + lambda n = {prefactor} <= 0: perturbation out of range")
-    denom = chi + 2 * n
-    if denom == 0:
-        raise ValueError("chi + 2n = 0: the fiber pairing degenerates")
-    rhs = [Fraction(gc) * lam + Fraction(cc, denom) for gc, cc in zip(gamma, c1)]
-    w = tuple(x / prefactor for x in rhs)
-    assert all(prefactor * wi == ri for wi, ri in zip(w, rhs))
-    return PerturbedClass(w=w, prefactor=prefactor, theta_coefficient=-lam / 2)
-
-
 def grading_modulus(coords: Sequence[int]) -> int:
     """gcd of the coordinates; 0 for the zero vector (fully torsion case)."""
     return math.gcd(*(abs(int(c)) for c in coords)) if coords else 0
@@ -426,28 +324,3 @@ def divisibility_check(c1_coords: Sequence[int], n_gamma: int, n: int, g: int) -
     if div == 0 and n_gamma == 0:
         return True
     return _divides(div, 2 * n_gamma) and _divides(n_gamma, n + 1 - g)
-
-
-def lefschetz_index(a_self: int, c1_pair: int) -> int:
-    """Index of a Lefschetz-type intersection point: A.A + <c_1, A>."""
-    return a_self + c1_pair
-
-
-def matched_index(mu_q: int, ranks: Sequence[int], chis: Sequence[int]) -> int:
-    """Total matched index: mu_Q plus the rank-weighted Euler characteristics."""
-    return mu_q + sum(r * chi for r, chi in zip(ranks, chis, strict=True))
-
-
-class DiscIndex(NamedTuple):
-    """Maslov index of the vanishing disc, with the boundary recount."""
-
-    value: int
-    recount: int
-
-
-def maslov_vanishing_disc(k: int, g1: int) -> DiscIndex:
-    """Index k + 1 - 2 g1, together with the recount 2k - (k - 1 + 2 g1)."""
-    value = k + 1 - 2 * g1
-    recount = 2 * k - (k - 1 + 2 * g1)
-    assert value == recount
-    return DiscIndex(value=value, recount=recount)

@@ -8,9 +8,9 @@ is the homological parity.
 
 The monomial range i + |S| <= n is a hard boundary of the model: products
 that would leave it are not expressible without relations that the model
-does not carry, and raise :class:`RelationNeeded`.  The three U-actions
-(classical, quantum genus zero, quantum eta-powers) each guard their
-regime and raise :class:`RegimeViolation` outside it.
+does not carry, and raise :class:`RelationNeeded`.  The two U-actions
+(classical, quantum genus zero) each guard their regime and raise
+:class:`RegimeViolation` outside it.
 
 Everything here is exact rational arithmetic.
 """
@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exterior import ExtElement, SymplecticLattice, _merge_sign, theta_divided
+from .exterior import ExtElement, SymplecticLattice, _merge_sign
 
 Monomial = tuple[int, tuple[int, ...]]
 
@@ -230,11 +230,6 @@ def cap_ext(omega: ExtElement, x: SymClass) -> SymClass:
     return _collect(x.n, x.lattice, pieces(), "mu-type cap")
 
 
-def cap_mu(circle_class: Sequence[int], x: SymClass) -> SymClass:
-    """Cap with the degree-1 mu-class of a first-homology vector."""
-    return cap_ext(ExtElement.from_vector(x.lattice, circle_class), x)
-
-
 def cap_U_classical(x: SymClass) -> SymClass:
     """The classical U-action U^i e_S -> U^{i+1} e_S.
 
@@ -269,34 +264,6 @@ def cap_U_quantum_g0(x: SymClass, exponent: int = 1) -> SymClass:
         key = ((i + exponent) % period, s)
         out[key] = out.get(key, Fraction(0)) + c
     return SymClass(x.n, x.lattice, out)
-
-
-def cap_U_quantum_eta_power(i: int, n: int, lattice: SymplecticLattice) -> SymClass:
-    """Quantum U-action on the eta-power classes, n >= g >= 1.
-
-    U . Phi(eta^i) = Phi(eta^{i+1} + theta_{g-n+i} - theta_{g-n} eta^i),
-    with theta_m the divided power theta^m / m! (zero for m < 0).  Only the
-    quoted eta-power inputs 0 <= i <= n-1 are supported: eta^{n+1} would
-    need a relation the monomial model does not carry.
-    """
-    g = lattice.genus
-    if g == 0 or n < g:
-        raise RegimeViolation(f"eta-power quantum action needs n >= g >= 1; got n={n}, g={g}")
-    if i == n:
-        raise RelationNeeded(
-            "U . eta^n produces eta^{n+1}, which is not a model monomial"
-        )
-    if not 0 <= i < n:
-        raise ValueError(f"eta-power exponent {i} outside 0..{n - 1}")
-
-    def pieces() -> Iterable[tuple[Monomial, Fraction]]:
-        yield (i + 1, ()), Fraction(1)
-        for subset, coeff in theta_divided(g - n + i, lattice).terms.items():
-            yield (0, subset), coeff
-        for subset, coeff in theta_divided(g - n, lattice).terms.items():
-            yield (i, subset), -coeff
-
-    return _collect(n, lattice, pieces(), "quantum U-action")
 
 
 class EtaThetaClass(NamedTuple):

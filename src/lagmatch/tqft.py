@@ -32,15 +32,14 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exterior import (
-    ExtElement,
     LatticeProjection,
     SpMatrix,
     SymplecticLattice,
     adapted_basis,
-    contract,
-    ext_power_action,
     ext_power_images,
 )
+# Not called here: perfbench/tracing.py wraps these two by name in this namespace.
+from .exterior import contract, ext_power_action  # noqa: F401
 from .symprod import Monomial, SymClass, basis, cap_U_quantum_g0, monomial_degree
 
 
@@ -137,18 +136,48 @@ Subset = tuple[int, ...]
 Image = Callable[[Subset], dict[Subset, int]]
 
 
-def _integral(image: Callable[[Subset], ExtElement]) -> Image:
-    """Memoize an exterior-level map on basis monomials, with int coefficients.
-
-    Each move applies integer matrices or pairings to a unit monomial.
-    """
-    return functools.cache(lambda s: {t: int(c) for t, c in image(s).terms.items()})
+def _push(image: Image, vector: dict[Subset, int]) -> dict[Subset, int]:
+    """Apply a map given on basis monomials to an integer vector."""
+    out: dict[Subset, int] = {}
+    for s, c in vector.items():
+        for t, m in image(s).items():
+            out[t] = out.get(t, 0) + c * m
+    return {t: c for t, c in out.items() if c}
 
 
 def _twist_image(matrix: SpMatrix) -> Image:
     """A fiberwise diffeomorphism on the exterior algebra: e_S -> M e_S."""
-    lattice = matrix.lattice
-    return _integral(lambda s: ext_power_action(matrix, ExtElement(lattice, {s: 1})))
+    return ext_power_images(matrix.rows)
+
+
+def _contract_a1(frame: SpMatrix, lattice: SymplecticLattice) -> Image:
+    """e_S -> the contraction with a_1 of frame e_S, genus g -> g-1.
+
+    Only b_1 pairs with a_1 (b_1 . a_1 = -1), and the first pair is then
+    killed, so just the terms with b_1 and without a_1 survive, relabelled.
+    """
+    power = ext_power_images(frame.rows)
+    kill = LatticeProjection.kill_first_pair(lattice)
+    b1 = lattice.genus
+
+    @functools.cache
+    def image(s: Subset) -> dict[Subset, int]:
+        out: dict[Subset, int] = {}
+        for t, c in power(s).items():
+            pos = bisect.bisect_left(t, b1)
+            if pos < len(t) and t[pos] == b1:
+                rest = kill.map_subset(t[:pos] + t[pos + 1:])
+                if rest is not None:
+                    out[rest] = c if pos & 1 else -c
+        return out
+
+    return image
+
+
+def _insert_a1(lattice: SymplecticLattice) -> Image:
+    """e_S -> a_1 ^ e_S, with S included after the first pair, genus g -> g+1."""
+    include = LatticeProjection.include_after_first_pair(lattice)
+    return lambda s: {(0,) + include.map_subset(s): 1}
 
 
 def _down_frame(circle: Sequence[int], lattice: SymplecticLattice) -> SpMatrix | None:
@@ -175,13 +204,7 @@ def _down_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:
     circle class to a_1.
     """
     frame = _down_frame(circle, lattice)
-    if frame is None:
-        return lambda s: {}
-    a1 = lattice.basis_vector(0)
-    kill = LatticeProjection.kill_first_pair(lattice)
-    return _integral(
-        lambda s: contract(a1, ext_power_action(frame, ExtElement(lattice, {s: 1})), kill)
-    )
+    return (lambda s: {}) if frame is None else _contract_a1(frame, lattice)
 
 
 def _up_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:
@@ -195,12 +218,8 @@ def _up_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:
     frame_inv = _up_frame(circle, lattice)
     if frame_inv is None:
         return lambda s: {}
-    target = frame_inv.lattice
-    include = LatticeProjection.include_after_first_pair(lattice)
-    a1 = ExtElement.generator(target, 0)
-    return _integral(
-        lambda s: ext_power_action(frame_inv, a1 * include.map_element(ExtElement(lattice, {s: 1})))
-    )
+    insert, twist = _insert_a1(lattice), _twist_image(frame_inv)
+    return functools.cache(lambda s: _push(twist, insert(s)))
 
 
 def _lift(image: Image, src: SymSpace, dst: SymSpace) -> SymLinearMap:
@@ -357,42 +376,12 @@ def cycle_composite(cycle: MorseCycle) -> SymLinearMap:
     return composite
 
 
-def _push(image: Image, vector: dict[Subset, int]) -> dict[Subset, int]:
-    """Apply a map given on basis monomials to an integer vector."""
-    out: dict[Subset, int] = {}
-    for s, c in vector.items():
-        for t, m in image(s).items():
-            out[t] = out.get(t, 0) + c * m
-    return {t: c for t, c in out.items() if c}
-
-
-def _contract_a1(vector: dict[Subset, int], kill: LatticeProjection) -> dict[Subset, int]:
-    """The contraction with a_1 after a down frame, as a relabelling.
-
-    Only b_1 pairs with a_1 (b_1 . a_1 = -1), and the projection kills a_1,
-    so just the terms with b_1 and without a_1 survive.
-    """
-    b1 = kill.source.genus
-    out: dict[Subset, int] = {}
-    for t, c in vector.items():
-        pos = bisect.bisect_left(t, b1)
-        if pos < len(t) and t[pos] == b1:
-            rest = kill.map_subset(t[:pos] + t[pos + 1:])
-            if rest is not None:
-                out[rest] = c if pos & 1 else -c
-    return out
-
-
-def _insert_a1(vector: dict[Subset, int], include: LatticeProjection) -> dict[Subset, int]:
-    """e_S -> a_1 ^ e_S, with S included after the first pair."""
-    return {(0,) + include.map_subset(t): c for t, c in vector.items()}
-
-
-def _after_first_pair(matrix: SpMatrix, include: LatticeProjection) -> SpMatrix:
+def _after_first_pair(matrix: SpMatrix) -> SpMatrix:
     """1 + M on genus g + 1: M on the handles after the first pair, which it fixes.
 
     The a_1 insertion intertwines the two: a_1 ^ (M x) = (1 + M)(a_1 ^ x).
     """
+    include = LatticeProjection.include_after_first_pair(matrix.lattice)
     rank = include.target.rank
     rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
     for i, row in zip(include.images, matrix.rows):
@@ -410,16 +399,17 @@ def evaluate_cycle(cycle: MorseCycle) -> Fraction:
     value is sum over k of (-1)^k (n0 - k + 1) tr C_k, canonical up to
     one overall sign.
 
-    Lambda is a functor, so the twists since the last surgery act as the
-    exterior power of their integer product, which folds into the next
-    down frame.  An up is the a_1 insertion followed by its inverse frame;
-    the insertion carries what is pending across as 1 + P, and the frame
-    times 1 + P stays pending.  Each surgery thus costs one relabelling,
-    each down one integer exterior power, and whatever is pending at the
-    end of the word one more.  Every circle is checked before a
-    separating one short-circuits to zero.
+    The stages are the move images' own constructors.  Lambda is a
+    functor, so the twists since the last surgery act as the exterior
+    power of their integer product P, which folds into the next down
+    frame: a down is ``_contract_a1(frame P)``.  An up is ``_insert_a1``
+    followed by its inverse frame; the insertion carries P across as
+    1 + P, and the frame times 1 + P stays pending.  Each down thus costs
+    one integer exterior power, and whatever is pending at the end of the
+    word one more.  Every circle is checked before a separating one
+    short-circuits to zero.
     """
-    stages: list[Callable[[dict[Subset, int]], dict[Subset, int]]] = []
+    stages: list[Image] = []
     pending: SpMatrix | None = None
     separating = False
     for move, genus in zip(cycle.moves, cycle.fibers):
@@ -432,21 +422,18 @@ def evaluate_cycle(cycle: MorseCycle) -> Fraction:
         if move.kind == "down":
             frame = _down_frame(move.circle, lattice)
             if frame is not None:
-                power = ext_power_images((frame if pending is None else frame @ pending).rows)
-                kill = LatticeProjection.kill_first_pair(lattice)
-                stages.append(lambda v, power=power, kill=kill: _contract_a1(_push(power, v), kill))
+                stages.append(_contract_a1(frame if pending is None else frame @ pending, lattice))
             pending = None
         else:
             frame = _up_frame(move.circle, lattice)
-            include = LatticeProjection.include_after_first_pair(lattice)
-            stages.append(lambda v, include=include: _insert_a1(v, include))
+            stages.append(_insert_a1(lattice))
             if frame is not None and pending is not None:
-                frame = frame @ _after_first_pair(pending, include)
+                frame = frame @ _after_first_pair(pending)
             pending = frame
         separating |= frame is None
     if separating:
         return Fraction(0)
-    last = None if pending is None else ext_power_images(pending.rows)
+    last = None if pending is None else _twist_image(pending)
     rank = 2 * cycle.fibers[0]
     total = 0
     for k in range(min(cycle.n0, rank) + 1):
@@ -454,7 +441,7 @@ def evaluate_cycle(cycle: MorseCycle) -> Fraction:
         for start in itertools.combinations(range(rank), k):
             vector = {start: 1}
             for stage in stages:
-                vector = stage(vector)
+                vector = _push(stage, vector)
             if last is None:
                 total += weight * vector.get(start, 0)
             else:

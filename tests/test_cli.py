@@ -344,6 +344,39 @@ def test_schema_checked_once_per_process():
     assert len(calls) == 1
 
 
+def test_parser_built_once_per_process(capsys):
+    parser_class = cli.argparse.ArgumentParser
+    cli._build_parser.cache_clear()
+    with mock.patch.object(parser_class, "add_subparsers", autospec=True,
+                           side_effect=parser_class.add_subparsers) as built:
+        for _ in range(3):
+            assert main(["dim", "--input", "fixture:torus-section-sum"]) == 0
+    assert built.call_count == 1
+
+
+def test_singular_intersection_form_exits_3():
+    fix = json.loads(json.dumps(FIXTURES["s2xs2-product"]))
+    fix["fibration"]["h2"] = {"form": [[2, 2], [2, 2]], "canonical": [0, 0]}
+    out = run_cli(["dim", "--input", "-"], stdin=json.dumps(fix))
+    assert out.returncode == 3
+    assert (out.stdout, out.stderr) == ("", "error: intersection form must be nonsingular\n")
+
+
+@pytest.mark.parametrize("digits", [4300, 4301])
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_huge_integers_exit_2_with_one_line(tmp_path, capsys, digits, fmt):
+    """A 4300-digit n0 gives a 4301-digit value; a 4301-digit n0 cannot be read."""
+    fix = json.loads(json.dumps(FIXTURES["sphere-cycle"]))
+    fix["morse_cycle"]["n0"] = "9" * digits
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(fix))
+    assert main(["tqft-eval", "--input", str(path), *fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_separating_down_then_non_primitive_up_exits_3(tmp_path, capsys):
     path = tmp_path / "cycle.json"
     path.write_text(doc(morse_cycle={

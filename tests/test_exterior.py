@@ -17,7 +17,6 @@ from lagmatch.exterior import (
     ext_power_action,
     ext_power_images,
     intersection,
-    supertrace,
     theta_divided,
     transvection,
     wedge,
@@ -300,22 +299,6 @@ def test_adapted_basis_rejects_imprimitive():
         adapted_basis(lat, (2, 0))
     with pytest.raises(ValueError):
         adapted_basis(lat, (0, 0))
-
-
-# -- supertrace ----------------------------------------------------------
-
-
-def test_supertrace_alternates_signs():
-    blocks = {0: [[Fraction(2)]], 1: [[Fraction(3)]], 2: [[Fraction(5)]]}
-    assert supertrace(blocks) == 2 - 3 + 5
-
-
-def test_supertrace_of_single_block_is_trace():
-    rng = random.Random(20)
-    for _ in range(50):
-        d = rng.randint(1, 4)
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
-        assert supertrace({0: rows}) == sum(rows[i][i] for i in range(d))
 
 
 def test_integer_kernel_matches_ext_power_action():

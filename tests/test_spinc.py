@@ -2,7 +2,6 @@
 
 import random
 import unittest
-from fractions import Fraction
 
 from lagmatch.spinc import (
     DescriptorError,
@@ -22,15 +21,9 @@ from lagmatch.spinc import (
     formal_dimension_core,
     grading_modulus,
     is_characteristic,
-    lefschetz_index,
-    maslov_vanishing_disc,
-    matched_index,
-    monotonicity_flags,
     nu_function,
     pairing,
     taubes_convert,
-    taubes_invert,
-    w_lambda,
 )
 
 
@@ -77,6 +70,15 @@ class PairingAndDimensionTest(unittest.TestCase):
         self.assertEqual(c1_squared(SpinC((2, 2)), h2), 8)
         self.assertEqual(c1_squared(SpinC((4, 4)), h2), 32)
         self.assertEqual(c1_squared(SpinC((10, 2)), h2), 40)
+
+    def test_singular_form_rejected(self):
+        h2 = H2Model(form=((2, 2), (2, 2)), canonical=(0, 0))
+        with self.assertRaisesRegex(DescriptorError, "^intersection form is singular$"):
+            c1_squared(SpinC((0, 0)), h2)
+        with self.assertRaisesRegex(DescriptorError, "^intersection form must be nonsingular$"):
+            FibrationDescriptor(
+                regions=[], round_circles=(), lefschetz_points=0, signature=0, h2=h2
+            )
 
     def test_formal_dimension_core(self):
         self.assertEqual(formal_dimension_core(8, 2, 0), 1)
@@ -129,14 +131,11 @@ class TaubesMapTest(unittest.TestCase):
     def test_roundtrip_random(self):
         rng = random.Random(40)
         desc = torus_descriptor()
+        canonical = desc.h2.canonical
         for _ in range(100):
             beta = (rng.randint(-9, 9), rng.randint(-9, 9))
-            self.assertEqual(taubes_invert(taubes_convert(beta, desc), desc), beta)
-
-    def test_invert_rejects_odd_difference(self):
-        desc = s2xs2_descriptor()
-        with self.assertRaises(ValueError):
-            taubes_invert(SpinC((3, 2)), desc)
+            want = tuple(k + 2 * b for k, b in zip(canonical, beta))
+            self.assertEqual(taubes_convert(beta, desc).c1, want)
 
     def test_length_check(self):
         desc = s2xs2_descriptor()
@@ -260,50 +259,6 @@ class AdmissibilityTest(unittest.TestCase):
         self.assertEqual(bad.regime, "inadmissible")
 
 
-class RegimeFlagTest(unittest.TestCase):
-    def test_flags(self):
-        f = monotonicity_flags(3, 2)
-        self.assertTrue(f.monotone)
-        self.assertFalse(f.two_negative)
-        self.assertIsNone(f.separating_ok)
-        self.assertEqual(f.c_min, 2)
-
-    def test_two_negative(self):
-        self.assertTrue(monotonicity_flags(1, 3).two_negative)
-        self.assertFalse(monotonicity_flags(2, 3).two_negative)
-
-    def test_separating_bound(self):
-        f = monotonicity_flags(1, 5, g1=2, g2=3)
-        self.assertTrue(f.separating_ok)
-        self.assertFalse(monotonicity_flags(2, 5, g1=2, g2=3).separating_ok)
-        with self.assertRaises(ValueError):
-            monotonicity_flags(1, 5, g1=2, g2=2)
-        with self.assertRaises(ValueError):
-            monotonicity_flags(1, 5, g1=2)
-
-
-class PerturbedClassTest(unittest.TestCase):
-    def test_exact_presentation(self):
-        out = w_lambda(Fraction(1, 3), (1, 0), (2, 2), 2, 2)
-        self.assertEqual(out.prefactor, Fraction(5, 3))
-        self.assertEqual(out.theta_coefficient, Fraction(-1, 6))
-        # (1 + lambda n) w = lambda gamma + c1/(chi + 2n) componentwise
-        self.assertEqual(out.w[0], (Fraction(1, 3) + Fraction(2, 6)) / Fraction(5, 3))
-
-    def test_zero_lambda_is_unperturbed(self):
-        out = w_lambda(0, (5, 7), (2, 4), 3, 0)
-        self.assertEqual(out.w, (Fraction(2, 6), Fraction(4, 6)))
-        self.assertEqual(out.theta_coefficient, 0)
-
-    def test_guards(self):
-        with self.assertRaises(ValueError):
-            w_lambda(Fraction(-1, 2), (0,), (2,), 2, 2)  # prefactor 0
-        with self.assertRaises(ValueError):
-            w_lambda(1, (0,), (2,), 1, -2)  # chi + 2n = 0
-        with self.assertRaises(ValueError):
-            w_lambda(1, (0, 0), (2,), 1, 2)
-
-
 class GradingTest(unittest.TestCase):
     def test_modulus(self):
         self.assertEqual(grading_modulus((2, 2)), 2)
@@ -322,26 +277,6 @@ class GradingTest(unittest.TestCase):
         self.assertTrue(divisibility_check((0, 0), 0, 4, 1))
         # torsion class with sections: 0 | 2n_gamma fails unless n_gamma = 0
         self.assertFalse(divisibility_check((0, 0), 2, 4, 1))
-
-
-class IndexFormulaTest(unittest.TestCase):
-    def test_lefschetz_index(self):
-        self.assertEqual(lefschetz_index(-1, 3), 2)
-        self.assertEqual(lefschetz_index(0, 0), 0)
-
-    def test_matched_index(self):
-        self.assertEqual(matched_index(3, [2, 1], [0, -2]), 1)
-        with self.assertRaises(ValueError):
-            matched_index(0, [1, 2], [0])
-
-    def test_maslov_disc_recount(self):
-        rng = random.Random(41)
-        for _ in range(100):
-            k = rng.randint(0, 12)
-            g1 = rng.randint(0, 6)
-            out = maslov_vanishing_disc(k, g1)
-            self.assertEqual(out.value, k + 1 - 2 * g1)
-            self.assertEqual(out.value, out.recount)
 
 
 if __name__ == "__main__":

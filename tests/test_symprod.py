@@ -11,10 +11,8 @@ from lagmatch.symprod import (
     SymClass,
     basis,
     cap_U_classical,
-    cap_U_quantum_eta_power,
     cap_U_quantum_g0,
     cap_ext,
-    cap_mu,
     monomial_degree,
     poincare_polynomial_dimension,
     restriction_classes,
@@ -80,15 +78,17 @@ class CapActionTest(unittest.TestCase):
             x = SymClass.monomial(n, lat, i, subset)
             u = [rng.randint(-2, 2) for _ in range(4)]
             v = [rng.randint(-2, 2) for _ in range(4)]
-            lhs = cap_mu(u, cap_mu(v, x))
-            rhs = -1 * cap_mu(v, cap_mu(u, x))
+            mu_u, mu_v = ExtElement.from_vector(lat, u), ExtElement.from_vector(lat, v)
+            lhs = cap_ext(mu_u, cap_ext(mu_v, x))
+            rhs = -1 * cap_ext(mu_v, cap_ext(mu_u, x))
             self.assertEqual(lhs.terms, rhs.terms)
 
     def test_mu_squares_to_zero(self):
         lat = SymplecticLattice(2)
         x = SymClass.monomial(4, lat, 0, (1,))
         v = (1, 2, 0, -1)
-        self.assertTrue(cap_mu(v, cap_mu(v, x)).is_zero())
+        mu_v = ExtElement.from_vector(lat, v)
+        self.assertTrue(cap_ext(mu_v, cap_ext(mu_v, x)).is_zero())
 
     def test_cap_ext_raises_out_of_range(self):
         lat = SymplecticLattice(2)
@@ -137,52 +137,6 @@ class CapActionTest(unittest.TestCase):
         lat = SymplecticLattice(0)
         x = SymClass.monomial(3, lat, 3, ())
         self.assertEqual(cap_U_quantum_g0(x).coefficient(0, ()), 1)
-
-
-class QuantumEtaTest(unittest.TestCase):
-    """The corrected U-action on eta powers when n >= g >= 1."""
-
-    def test_torus_golden(self):
-        # g=1, n=3: U.eta^2 = eta^3 + 1
-        out = cap_U_quantum_eta_power(2, 3, SymplecticLattice(1))
-        self.assertEqual(
-            out.terms, {(3, ()): Fraction(1), (0, ()): Fraction(1)}
-        )
-
-    def test_genus_two_golden(self):
-        # g=2, n=2: U.eta = eta^2 + theta - 1.eta^0... spelled in monomials:
-        out = cap_U_quantum_eta_power(1, 2, SymplecticLattice(2))
-        self.assertEqual(
-            out.terms,
-            {
-                (2, ()): Fraction(1),
-                (0, (0, 2)): Fraction(1),
-                (0, (1, 3)): Fraction(1),
-                (1, ()): Fraction(-1),
-            },
-        )
-
-    def test_genus_three_needs_relation(self):
-        with self.assertRaises(RelationNeeded):
-            cap_U_quantum_eta_power(2, 3, SymplecticLattice(3))
-
-    def test_top_power_needs_relation(self):
-        with self.assertRaises(RelationNeeded):
-            cap_U_quantum_eta_power(3, 3, SymplecticLattice(1))
-
-    def test_regime_guards(self):
-        with self.assertRaises(RegimeViolation):
-            cap_U_quantum_eta_power(0, 2, SymplecticLattice(0))
-        with self.assertRaises(RegimeViolation):
-            cap_U_quantum_eta_power(0, 1, SymplecticLattice(2))
-        with self.assertRaises(ValueError):
-            cap_U_quantum_eta_power(-1, 3, SymplecticLattice(1))
-
-    def test_correction_vanishes_in_balanced_case(self):
-        # n = g: theta_{g-n+i} = theta_i, theta_{g-n} = theta_0 = 1; at i=0
-        # the two corrections cancel, leaving the naive step U.1 = eta.
-        out = cap_U_quantum_eta_power(0, 2, SymplecticLattice(2))
-        self.assertEqual(out.terms, {(1, ()): Fraction(1)})
 
 
 class RestrictionClassesTest(unittest.TestCase):

@@ -1,5 +1,6 @@
 """Elementary-move maps, cycle evaluation, and the fibered cross-check."""
 
+import itertools
 import math
 import random
 import time
@@ -8,13 +9,22 @@ from fractions import Fraction
 import pytest
 
 from lagmatch.exterior import (
+    ExtElement,
+    LatticeProjection,
     SpMatrix,
     SymplecticLattice,
+    adapted_basis,
+    contract,
+    ext_power_action,
     theta_divided,
     transvection,
+    wedge,
 )
 from lagmatch.symprod import SymClass, basis, cap_U_classical, cap_ext
 from lagmatch.tqft import (
+    _down_image,
+    _twist_image,
+    _up_image,
     AlexanderForm,
     ElementaryMove,
     MorseCycle,
@@ -132,6 +142,45 @@ def test_fibered_equality_random():
 
 
 # -- surgery maps ---------------------------------------------------------
+
+
+def test_move_images_match_exterior_reference():
+    """Each move's integer image on every e_S agrees with contract, wedge and
+    ext_power_action, which no evaluation path calls."""
+    rng = random.Random(62)
+    for g in range(4):
+        lat, target = SymplecticLattice(g), SymplecticLattice(g + 1)
+        include = LatticeProjection.include_after_first_pair(lat)
+        a1 = ExtElement.generator(target, 0)
+        monomials = [
+            s for k in range(lat.rank + 1) for s in itertools.combinations(range(lat.rank), k)
+        ]
+        for _ in range(3):
+            twist = random_sp(rng, lat)
+            twist_image = _twist_image(twist)
+            up_circle = random_primitive(rng, target.rank)
+            up_frame_inv = adapted_basis(target, up_circle).inverse()
+            up_image = _up_image(up_circle, lat)
+            for s in monomials:
+                e_s = ExtElement(lat, {s: 1})
+                assert twist_image(s) == ext_power_action(twist, e_s).terms, (twist.rows, s)
+                want = ext_power_action(up_frame_inv, wedge(a1, include.map_element(e_s)))
+                assert up_image(s) == want.terms, (up_circle, s)
+            if g == 0:
+                continue
+            down_circle = random_primitive(rng, lat.rank)
+            frame = adapted_basis(lat, down_circle)
+            kill = LatticeProjection.kill_first_pair(lat)
+            down_image = _down_image(down_circle, lat)
+            for s in monomials:
+                e_s = ExtElement(lat, {s: 1})
+                want = contract(lat.basis_vector(0), ext_power_action(frame, e_s), kill)
+                assert down_image(s) == want.terms, (down_circle, s)
+        separating_up = _up_image((0,) * target.rank, lat)
+        separating_down = _down_image((0,) * lat.rank, lat) if g else None
+        for s in monomials:
+            assert separating_up(s) == {}
+            assert separating_down is None or separating_down(s) == {}
 
 
 def test_down_of_b1_and_up_of_one():
