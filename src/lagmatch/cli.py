@@ -33,7 +33,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import Any, Sequence
 
 import jsonschema
@@ -103,10 +102,6 @@ def _as_int_list(values: Any, what: str) -> tuple[int, ...]:
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return _jsonable(int(value))
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, int):
@@ -145,6 +140,9 @@ def _schema_validator() -> Any:
     return cls(INPUT_SCHEMA)
 
 
+_TOO_DEEP = "malformed JSON: arrays or objects nested too deeply"
+
+
 def _load_document(source: str | None) -> dict:
     if source is None:
         raise _Exit(2, "an input document is required: --input FILE, --input -, "
@@ -164,9 +162,14 @@ def _load_document(source: str | None) -> dict:
             doc = json.loads(text)
         except json.JSONDecodeError as err:
             raise _Exit(2, f"malformed JSON: {err}") from err
+        except RecursionError:
+            raise _Exit(2, _TOO_DEEP) from None
     if not isinstance(doc, dict):
         raise _Exit(2, "input document must be a JSON object")
-    err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(doc))
+    try:
+        err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(doc))
+    except RecursionError:  # the message quotes the offending value with repr
+        raise _Exit(2, _TOO_DEEP) from None
     if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "(root)"
         raise _Exit(2, f"schema violation at {where}: {err.message}")

@@ -121,6 +121,19 @@ def _solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction] 
     return [a[i][n] for i in range(n)]
 
 
+def _shown(x: int | Fraction) -> str:
+    """str(x), or the ends and length of each integer too long for str()."""
+    try:
+        return str(x)
+    except ValueError:  # more digits than the interpreter's int_max_str_digits
+        if x.denominator != 1:
+            return f"{_shown(x.numerator)}/{_shown(x.denominator)}"
+        m = abs(x.numerator)
+        digits = int((m.bit_length() - 1) * math.log10(2)) + 1
+        digits += m >= 10**digits
+        return f"{'-' * (x < 0)}{m // 10 ** (digits - 6)}...{m % 10**6:06d} ({digits} digits)"
+
+
 def _pair_qf(form: Sequence[Sequence[int]], v: Sequence[int], w: Sequence[int]) -> int:
     return sum(v[i] * form[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
 
@@ -157,7 +170,7 @@ def c1_squared(spinc: SpinC, h2: H2Model) -> int:
         raise DescriptorError("intersection form is singular")
     value = sum((Fraction(c) * xi for c, xi in zip(spinc.c1, x)), Fraction(0))
     if value.denominator != 1:
-        raise DescriptorError(f"c_1^2 = {value} is not an integer in this H^2 model")
+        raise DescriptorError(f"c_1^2 = {_shown(value)} is not an integer in this H^2 model")
     return int(value)
 
 
@@ -166,7 +179,7 @@ def formal_dimension_core(c1_sq: int, chi: int, sigma: int) -> int:
     num = c1_sq - 2 * chi - 3 * sigma
     if num % 4:
         raise DescriptorError(
-            f"formal dimension (c1^2 - 2chi - 3sigma)/4 = {num}/4 is not an integer"
+            f"formal dimension (c1^2 - 2chi - 3sigma)/4 = {_shown(num)}/4 is not an integer"
         )
     return num // 4
 
@@ -208,7 +221,8 @@ def common_fiber_pairing(spinc: SpinC, descriptor: FibrationDescriptor) -> int:
     values = fiber_pairings(spinc, descriptor)
     if len(set(values)) > 1:
         raise DescriptorError(
-            f"<c_1, fiber> differs across regions: {values}; descriptor and c_1 are inconsistent"
+            f"<c_1, fiber> differs across regions: [{', '.join(map(_shown, values))}]; "
+            "descriptor and c_1 are inconsistent"
         )
     return values[0]
 
@@ -222,10 +236,12 @@ def nu_function(fiber_chis: Sequence[int], two_d: int) -> list[int]:
     out = []
     for chi in fiber_chis:
         if (two_d - chi) % 2:
-            raise InadmissibleError(f"pairing {two_d} and fiber chi {chi} have distinct parity")
+            raise InadmissibleError(
+                f"pairing {_shown(two_d)} and fiber chi {_shown(chi)} have distinct parity"
+            )
         nu = (two_d - chi) // 2
         if nu < 0:
-            raise InadmissibleError(f"negative symmetric-product degree nu = {nu}")
+            raise InadmissibleError(f"negative symmetric-product degree nu = {_shown(nu)}")
         out.append(nu)
     return out
 
@@ -263,31 +279,25 @@ def admissibility(spinc: SpinC, descriptor: FibrationDescriptor) -> Admissibilit
         floor_fail = [i for i in range(len(pairs)) if pairs[i] < chis[i]]
         if floor_fail:
             i = floor_fail[0]
-            verdicts.append(
-                RegionVerdict(r, "inadmissible", f"component {i}: pairing {pairs[i]} < chi {chis[i]}")
-            )
+            detail = f"component {i}: pairing {_shown(pairs[i])} < chi {_shown(chis[i])}"
+            verdicts.append(RegionVerdict(r, "inadmissible", detail))
             continue
         if len(pairs) == 1:
             p, chi = pairs[0], chis[0]
             if p > 0:
-                verdicts.append(RegionVerdict(r, "monotone", f"pairing {p} > 0"))
+                verdicts.append(RegionVerdict(r, "monotone", f"pairing {_shown(p)} > 0"))
             elif 2 * p <= chi:
-                verdicts.append(RegionVerdict(r, "negative", f"2*pairing {2 * p} <= chi {chi}"))
+                detail = f"2*pairing {_shown(2 * p)} <= chi {_shown(chi)}"
+                verdicts.append(RegionVerdict(r, "negative", detail))
             else:
-                verdicts.append(
-                    RegionVerdict(r, "inadmissible", f"pairing {p} in the excluded band (chi/2, 0]")
-                )
+                detail = f"pairing {_shown(p)} in the excluded band (chi/2, 0]"
+                verdicts.append(RegionVerdict(r, "inadmissible", detail))
         else:
             bad = [i for i in range(2) if 2 * pairs[i] > chis[i]]
             if bad:
                 i = bad[0]
-                verdicts.append(
-                    RegionVerdict(
-                        r,
-                        "inadmissible",
-                        f"two-component fiber: component {i} has 2*pairing {2 * pairs[i]} > chi {chis[i]}",
-                    )
-                )
+                detail = f"component {i} has 2*pairing {_shown(2 * pairs[i])} > chi {_shown(chis[i])}"
+                verdicts.append(RegionVerdict(r, "inadmissible", f"two-component fiber: {detail}"))
             else:
                 verdicts.append(RegionVerdict(r, "negative", "two-component negative clause"))
     kinds = {v.verdict for v in verdicts}

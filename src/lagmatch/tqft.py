@@ -28,8 +28,8 @@ import bisect
 import functools
 import itertools
 import math
-from fractions import Fraction
-from typing import Callable, Sequence
+import operator
+from typing import Callable, NamedTuple, Sequence
 
 from .exterior import (
     LatticeProjection,
@@ -40,38 +40,39 @@ from .exterior import (
 )
 # Not called here: perfbench/tracing.py wraps these two by name in this namespace.
 from .exterior import contract, ext_power_action  # noqa: F401
-from .symprod import Monomial, SymClass, basis, cap_U_quantum_g0, monomial_degree
+from .symprod import Monomial, SymClass, basis, cap_U_quantum_g0
 
 
 class NonClosingCycle(ValueError):
     """The genus/degree bookkeeping of a cycle does not close up."""
 
 
-class SymSpace:
-    """The monomial basis of Sym^n of a genus-g surface, with coordinates."""
+Subset = tuple[int, ...]
+Image = Callable[[Subset], dict[Subset, int]]
 
-    __slots__ = ("n", "lattice", "monomials", "index")
+
+def _push(image: Image, vector: dict[Subset, int]) -> dict[Subset, int]:
+    """Apply a map given on basis monomials to an integer vector."""
+    out: dict[Subset, int] = {}
+    for s, c in vector.items():
+        for t, m in image(s).items():
+            out[t] = out.get(t, 0) + c * m
+    return {t: c for t, c in out.items() if c}
+
+
+class SymSpace:
+    """The monomial basis U^i e_S of Sym^n of a genus-g surface."""
+
+    __slots__ = ("n", "lattice", "monomials")
 
     def __init__(self, n: int, lattice: SymplecticLattice):
         self.n = n
         self.lattice = lattice
         self.monomials: list[Monomial] = basis(n, lattice)
-        self.index: dict[Monomial, int] = {m: k for k, m in enumerate(self.monomials)}
 
     @property
     def dim(self) -> int:
         return len(self.monomials)
-
-    def degrees(self) -> list[int]:
-        return [monomial_degree(self.n, i, s) for (i, s) in self.monomials]
-
-    def coords(self, x: SymClass) -> list[Fraction]:
-        if x.n != self.n or x.lattice != self.lattice:
-            raise ValueError("class does not live in this space")
-        out = [Fraction(0)] * self.dim
-        for key, coeff in x.terms.items():
-            out[self.index[key]] = coeff
-        return out
 
     def element(self, key: Monomial) -> SymClass:
         return SymClass.monomial(self.n, self.lattice, key[0], key[1])
@@ -91,58 +92,34 @@ class SymSpace:
 
 
 class SymLinearMap:
-    """Dense exact matrix of a linear map between two SymSpaces.
+    """The lift U^i e_S -> U^i image(S) of an exterior-level map.
 
-    ``rows[r][c]`` is the coefficient of destination monomial r in the
-    image of source monomial c.
+    No move changes the U-power, so a map between two SymSpaces is its
+    integer image of each wedge monomial e_S.
     """
 
-    __slots__ = ("src", "dst", "rows")
+    __slots__ = ("src", "dst", "image")
 
-    def __init__(self, src: SymSpace, dst: SymSpace, rows: Sequence[Sequence[Fraction]]):
-        if len(rows) != dst.dim or any(len(row) != src.dim for row in rows):
-            raise ValueError("matrix shape does not match the spaces")
+    def __init__(self, src: SymSpace, dst: SymSpace, image: Image):
         self.src = src
         self.dst = dst
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.image = image
 
     def apply(self, x: SymClass) -> SymClass:
-        coords = self.src.coords(x)
+        if x.n != self.src.n or x.lattice != self.src.lattice:
+            raise ValueError("class does not live in this space")
         terms = {}
-        for r, key in enumerate(self.dst.monomials):
-            val = sum((self.rows[r][c] * coords[c] for c in range(self.src.dim)), Fraction(0))
-            if val:
-                terms[key] = val
+        for (i, s), coeff in x.terms.items():
+            for t, c in self.image(s).items():
+                terms[i, t] = terms.get((i, t), 0) + coeff * c
         return SymClass(self.dst.n, self.dst.lattice, terms)
 
     def __matmul__(self, other: "SymLinearMap") -> "SymLinearMap":
         """self after other."""
         if other.dst != self.src:
             raise ValueError("maps are not composable")
-        rows = [
-            [
-                sum(
-                    (self.rows[r][k] * other.rows[k][c] for k in range(self.src.dim)),
-                    Fraction(0),
-                )
-                for c in range(other.src.dim)
-            ]
-            for r in range(self.dst.dim)
-        ]
-        return SymLinearMap(other.src, self.dst, rows)
-
-
-Subset = tuple[int, ...]
-Image = Callable[[Subset], dict[Subset, int]]
-
-
-def _push(image: Image, vector: dict[Subset, int]) -> dict[Subset, int]:
-    """Apply a map given on basis monomials to an integer vector."""
-    out: dict[Subset, int] = {}
-    for s, c in vector.items():
-        for t, m in image(s).items():
-            out[t] = out.get(t, 0) + c * m
-    return {t: c for t, c in out.items() if c}
+        first, then = other.image, self.image
+        return SymLinearMap(other.src, self.dst, functools.cache(lambda s: _push(then, first(s))))
 
 
 def _twist_image(matrix: SpMatrix) -> Image:
@@ -222,19 +199,10 @@ def _up_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:
     return functools.cache(lambda s: _push(twist, insert(s)))
 
 
-def _lift(image: Image, src: SymSpace, dst: SymSpace) -> SymLinearMap:
-    """The matrix of U^i e_S -> U^i image(S): every move fixes the U-power."""
-    rows = [[0] * src.dim for _ in range(dst.dim)]
-    for c, (i, subset) in enumerate(src.monomials):
-        for t, coeff in image(subset).items():
-            rows[dst.index[(i, t)]][c] = coeff
-    return SymLinearMap(src, dst, rows)
-
-
 def twist_map(matrix: SpMatrix, n: int) -> SymLinearMap:
     """The endomorphism of Sym^n induced by a fiberwise diffeomorphism."""
     space = SymSpace(n, matrix.lattice)
-    return _lift(_twist_image(matrix), space, space)
+    return SymLinearMap(space, space, _twist_image(matrix))
 
 
 def down_map(circle: Sequence[int], n: int, lattice: SymplecticLattice) -> SymLinearMap:
@@ -242,13 +210,14 @@ def down_map(circle: Sequence[int], n: int, lattice: SymplecticLattice) -> SymLi
     image = _down_image(circle, lattice)
     if n < 1:
         raise NonClosingCycle("down surgery needs symmetric degree n >= 1")
-    return _lift(image, SymSpace(n, lattice), SymSpace(n - 1, SymplecticLattice(lattice.genus - 1)))
+    target = SymplecticLattice(lattice.genus - 1)
+    return SymLinearMap(SymSpace(n, lattice), SymSpace(n - 1, target), image)
 
 
 def up_map(circle: Sequence[int], n: int, lattice: SymplecticLattice) -> SymLinearMap:
     """Surgery up along a circle: Sym^n(genus g) -> Sym^{n+1}(genus g+1)."""
     target = SymplecticLattice(lattice.genus + 1)
-    return _lift(_up_image(circle, lattice), SymSpace(n, lattice), SymSpace(n + 1, target))
+    return SymLinearMap(SymSpace(n, lattice), SymSpace(n + 1, target), _up_image(circle, lattice))
 
 
 class ElementaryMove:
@@ -355,12 +324,12 @@ def _move_image(move: ElementaryMove, genus: int) -> Image:
 
 
 def move_matrix(cycle: MorseCycle, j: int) -> SymLinearMap:
-    """The exact matrix of move j of a validated cycle."""
+    """The Sym-level map of move j of a validated cycle."""
     after = (j + 1) % len(cycle.moves)
-    return _lift(
-        _move_image(cycle.moves[j], cycle.fibers[j]),
+    return SymLinearMap(
         SymSpace(cycle.nu(j), SymplecticLattice(cycle.fibers[j])),
         SymSpace(cycle.nu(after), SymplecticLattice(cycle.fibers[after])),
+        _move_image(cycle.moves[j], cycle.fibers[j]),
     )
 
 
@@ -390,7 +359,7 @@ def _after_first_pair(matrix: SpMatrix) -> SpMatrix:
     return SpMatrix(include.target, rows)
 
 
-def evaluate_cycle(cycle: MorseCycle) -> Fraction:
+def evaluate_cycle(cycle: MorseCycle) -> int:
     """Graded supertrace of the composite around a closed cycle.
 
     Every move fixes the U-power i, so the fiber-0 model Sym^{n0} splits
@@ -432,7 +401,7 @@ def evaluate_cycle(cycle: MorseCycle) -> Fraction:
             pending = frame
         separating |= frame is None
     if separating:
-        return Fraction(0)
+        return 0
     last = None if pending is None else _twist_image(pending)
     rank = 2 * cycle.fibers[0]
     total = 0
@@ -446,21 +415,15 @@ def evaluate_cycle(cycle: MorseCycle) -> Fraction:
                 total += weight * vector.get(start, 0)
             else:
                 total += weight * sum(c * last(t).get(start, 0) for t, c in vector.items())
-    return Fraction(total)
+    return total
 
 
-class ConnectedSumReport:
+class ConnectedSumReport(NamedTuple):
     """Outcome of the separating-circle short-circuit."""
 
-    __slots__ = ("value", "move_index", "reason")
-
-    def __init__(self, value: Fraction, move_index: int, reason: str):
-        self.value = value
-        self.move_index = move_index
-        self.reason = reason
-
-    def __repr__(self) -> str:
-        return f"ConnectedSumReport(value={self.value}, move={self.move_index})"
+    value: int
+    move_index: int
+    reason: str
 
 
 def connected_sum_invariant(cycle: MorseCycle) -> ConnectedSumReport:
@@ -476,7 +439,7 @@ def connected_sum_invariant(cycle: MorseCycle) -> ConnectedSumReport:
             if value != 0:
                 raise AssertionError("separating surgery produced a nonzero evaluation")
             return ConnectedSumReport(
-                value=Fraction(0),
+                value=0,
                 move_index=j,
                 reason=(
                     f"move {j} is a {move.kind} surgery along a nullhomologous circle, "
@@ -520,8 +483,8 @@ class AlexanderForm:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Fraction | int]):
-        cleaned = [Fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Sequence[int]):
+        cleaned = [operator.index(c) for c in coeffs]
         while len(cleaned) > 1 and cleaned[-1] == 0:
             cleaned.pop()
         if not cleaned or all(c == 0 for c in cleaned):
@@ -534,9 +497,9 @@ class AlexanderForm:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def a(self, m: int) -> Fraction:
+    def a(self, m: int) -> int:
         m = abs(m)
-        return self.coeffs[m] if m <= self.degree else Fraction(0)
+        return self.coeffs[m] if m <= self.degree else 0
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AlexanderForm) and other.coeffs == self.coeffs
@@ -571,7 +534,7 @@ def alexander_fibered(monodromy: SpMatrix | Sequence[Sequence[int]]) -> Alexande
     return AlexanderForm([c[g + m] for m in range(g + 1)])
 
 
-def alexander_cycle_value(form: AlexanderForm, n: int, g: int) -> Fraction:
+def alexander_cycle_value(form: AlexanderForm, n: int, g: int) -> int:
     """Weighted coefficient sum equal (up to sign) to the fibered supertrace.
 
     With offset D = g - 1 - n the value is sum over i >= 1 of i * a(D + i),
@@ -583,7 +546,7 @@ def alexander_cycle_value(form: AlexanderForm, n: int, g: int) -> Fraction:
     top = form.degree
     # a(D + i) vanishes unless |D + i| <= top.
     terms = range(max(1, -top - D), top - D + 1)
-    return sum((Fraction(i) * form.a(D + i) for i in terms), Fraction(0))
+    return sum(i * form.a(D + i) for i in terms)
 
 
 def weighted_exterior_dimension(d: int, g: int) -> int:
@@ -605,29 +568,15 @@ def weighted_exterior_dimension(d: int, g: int) -> int:
 # -- worked closed-manifold examples -----------------------------------
 
 
-class ExampleReport:
+class ExampleReport(NamedTuple):
     """Result of one of the built-in closed-manifold computations."""
 
-    __slots__ = ("name", "m", "n", "value", "monomial", "notes")
-
-    def __init__(
-        self,
-        name: str,
-        m: int,
-        n: int,
-        value: Fraction,
-        monomial: str | None,
-        notes: tuple[str, ...],
-    ):
-        self.name = name
-        self.m = m
-        self.n = n
-        self.value = value
-        self.monomial = monomial
-        self.notes = notes
-
-    def __repr__(self) -> str:
-        return f"ExampleReport({self.name!r}, m={self.m}, n={self.n}, value={self.value})"
+    name: str
+    m: int
+    n: int
+    value: int
+    monomial: str | None
+    notes: tuple[str, ...]
 
 
 WORKED_EXAMPLES = ("s2xs2", "s1s3-sum")
@@ -649,13 +598,13 @@ def worked_example(name: str, m: int, n: int) -> ExampleReport:
     if name == "s2xs2":
         if m < 0 or n < 0:
             return ExampleReport(
-                name, m, n, Fraction(0), None,
+                name, m, n, 0, None,
                 ("positivity gate: negative parameter forces vanishing",),
             )
         lattice = SymplecticLattice(0)
         exponent = (m + 1) * (n + 1) - 1
         state = cap_U_quantum_g0(SymClass.monomial(n, lattice, 0, ()), exponent % (n + 1))
-        value = state.coefficient(n, ())
+        value = int(state.coefficient(n, ()))
         return ExampleReport(
             name, m, n, value, f"U^{n}",
             (f"quantum U-exponent {exponent} reduced mod period {n + 1}",),
@@ -665,7 +614,7 @@ def worked_example(name: str, m: int, n: int) -> ExampleReport:
             raise ValueError("s1s3-sum needs n >= 1: the quantum period of the model is n")
         if m < 0:
             return ExampleReport(
-                name, m, n, Fraction(0), None,
+                name, m, n, 0, None,
                 ("positivity gate: negative parameter forces vanishing",),
             )
         torus = SymplecticLattice(1)
@@ -673,7 +622,7 @@ def worked_example(name: str, m: int, n: int) -> ExampleReport:
         state = SymClass(n - 1, SymplecticLattice(0), {(0, t): c for t, c in surgered.items()})
         exponent = n * (m + 1) - 1
         state = cap_U_quantum_g0(state, exponent % n)
-        value = state.coefficient(n - 1, ())
+        value = int(state.coefficient(n - 1, ()))
         if abs(value) != 1 or len(state.terms) != 1:
             raise AssertionError("model evaluation did not land on a single unit monomial")
         return ExampleReport(

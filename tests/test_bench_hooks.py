@@ -2,29 +2,71 @@
 
 ``perfbench/tracing.py`` wraps functions in the namespaces of ``lagmatch.cli``
 and ``lagmatch.tqft`` by name; a refactor that renames one of them breaks
-traced runs, and this test fails first.  It only reads ``perfbench/``.
+traced runs, and these tests fail first.  They only read ``perfbench/``.
 """
 
 import os
 import sys
 
+from lagmatch.exterior import SpMatrix, SymplecticLattice
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def test_tracing_installs_and_restores():
+def _tracing():
     sys.path.insert(0, PERFBENCH)
     try:
         import tracing
     finally:
         sys.path.remove(PERFBENCH)
+    return tracing
+
+
+def _namespaces():
     from lagmatch import cli, tqft
 
-    before = (dict(vars(cli)), dict(vars(tqft)))
+    return [dict(vars(x)) for x in (cli, tqft, tqft.SymSpace, tqft.SymLinearMap)]
+
+
+def test_tracing_installs_and_restores():
+    tracing = _tracing()
+    from lagmatch import cli
+
+    before = _namespaces()
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
         assert cli.main(["tqft-eval", "--input", "fixture:sphere-cycle", "--json"]) == 0
     finally:
         tracer.restore()
-    assert (dict(vars(cli)), dict(vars(tqft))) == before
+    assert _namespaces() == before
     assert tracer.spans
+
+
+def test_tracing_drives_the_composite():
+    """The hooks on move_matrix, SymLinearMap.__matmul__ and SymSpace read the lifts."""
+    tracing = _tracing()
+    from lagmatch import tqft
+
+    cycle = tqft.MorseCycle(
+        [1, 0, 0],
+        [
+            tqft.ElementaryMove.down((1, 1)),
+            tqft.ElementaryMove.twist(SpMatrix.identity(SymplecticLattice(0))),
+            tqft.ElementaryMove.up((0, 1)),
+        ],
+        2,
+    )
+    before = _namespaces()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        composite = tqft.cycle_composite(cycle)
+    finally:
+        tracer.restore()
+    assert _namespaces() == before
+    assert composite.src == composite.dst
+    assert tracer.counts["tqft.compose.mults"] > 0
+    assert tracer.counts["tqft.state_dim.max"] == composite.src.dim
+    names = {span[0] for span in tracer.spans}
+    assert {"tqft.compose", "tqft.move_matrix"} <= names

@@ -1,12 +1,12 @@
 """End-to-end command line checks: reports, exit codes, determinism."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from unittest import mock
 
 import jsonschema
@@ -311,12 +311,6 @@ def test_repeat_runs_identical():
 # -- renderer unit checks ---------------------------------------------------
 
 
-def test_jsonable_fractions():
-    assert _jsonable(Fraction(3, 2)) == "3/2"
-    assert _jsonable(Fraction(4, 2)) == 2
-    assert _jsonable(Fraction(-7, 3)) == "-7/3"
-
-
 def test_jsonable_big_ints():
     assert _jsonable(2**53 - 1) == 2**53 - 1
     assert _jsonable(2**53) == str(2**53)
@@ -403,3 +397,54 @@ def test_examples_at_a_million_answer_quickly(capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["monomial"] == monomial
         assert abs(report["value"]) == 1
+
+
+def _deep_cz(depth):
+    samples = "[" * depth + "0" + "]" * depth
+    return '{"schema": "lagmatch-input@1", "cz": {"samples": %s}}' % samples
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100_000 + "]" * 100_000, id="bare-100000"),
+    *(pytest.param(_deep_cz(depth), id=f"cz-{depth}") for depth in range(900, 1000, 2)),
+])
+@pytest.mark.parametrize("command", ["dim", "cz"])
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, monkeypatch, text, command):
+    """Nesting past the interpreter's recursion limit, in the parser or in the
+    schema message, is malformed input: exit 2 and one line, from a file or stdin."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    for source in (str(path), "-"):
+        assert main([command, "--input", source]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines[:1]
+        if text.startswith("["):
+            assert lines == ["error: malformed JSON: arrays or objects nested too deeply"]
+
+
+@pytest.mark.parametrize("section, value, message", [
+    pytest.param("signature", "9" * 4300,
+                 "formal dimension (c1^2 - 2chi - 3sigma)/4 = -299999...999993 (4301 digits)/4"
+                 " is not an integer", id="signature"),
+    pytest.param("lefschetz_points", "9" * 4300,
+                 "formal dimension (c1^2 - 2chi - 3sigma)/4 = -199999...999994 (4301 digits)/4"
+                 " is not an integer", id="lefschetz_points"),
+    pytest.param("spinc", [{"beta": ["9" * 4300, "0"]}],
+                 "<c_1, fiber> differs across regions: [199999...999998 (4301 digits), "
+                 "199999...999998 (4301 digits), 2]; descriptor and c_1 are inconsistent",
+                 id="beta"),
+])
+def test_huge_descriptor_integers_keep_the_module_message(tmp_path, capsys, section, value, message):
+    fix = json.loads(json.dumps(FIXTURES["torus-section-sum"]))
+    if section == "spinc":
+        fix["spinc"] = value
+    else:
+        fix["fibration"][section] = value
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(fix))
+    assert main(["dim", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

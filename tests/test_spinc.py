@@ -1,9 +1,12 @@
 """Spin-c bookkeeping: dimensions, admissibility regimes, gradings."""
 
 import random
+import sys
 import unittest
+from fractions import Fraction
 
 from lagmatch.spinc import (
+    _shown,
     DescriptorError,
     FiberComponent,
     FibrationDescriptor,
@@ -277,6 +280,69 @@ class GradingTest(unittest.TestCase):
         self.assertTrue(divisibility_check((0, 0), 0, 4, 1))
         # torsion class with sections: 0 | 2n_gamma fails unless n_gamma = 0
         self.assertFalse(divisibility_check((0, 0), 2, 4, 1))
+
+
+class HugeIntegerMessageTest(unittest.TestCase):
+    """Diagnostics abbreviate integers too long for str() instead of failing on them."""
+
+    def setUp(self):
+        limit = sys.get_int_max_str_digits()
+        if limit != 4300:
+            self.skipTest(f"the interpreter prints integers of up to {limit} digits")
+        self.big = 10**4300  # 4301 digits
+
+    def test_shown(self):
+        for n in (0, 7, -12, 10**4299, -(10**4300 - 1)):
+            self.assertEqual(_shown(n), str(n))
+        self.assertEqual(_shown(self.big), "100000...000000 (4301 digits)")
+        self.assertEqual(_shown(-(2 * 10**4305 - 3)), "-199999...999997 (4306 digits)")
+        self.assertEqual(_shown(Fraction(-self.big, 3)), "-100000...000000 (4301 digits)/3")
+        for k in range(4301, 4340):
+            self.assertTrue(_shown(10**k - 1).endswith(f"999999 ({k} digits)"), k)
+            self.assertTrue(_shown(10**k).endswith(f"000000 ({k + 1} digits)"), k)
+
+    def test_formal_dimension_message(self):
+        with self.assertRaisesRegex(
+            DescriptorError, r"= -300000\.\.\.000003 \(4301 digits\)/4 is not an integer$"
+        ):
+            formal_dimension_core(0, 0, self.big + 1)
+
+    def test_c1_squared_message(self):
+        h2 = H2Model(form=((2, 1), (1, 2)), canonical=(0, 0))
+        with self.assertRaisesRegex(
+            DescriptorError, r"^c_1\^2 = 800000\.\.\.000000 \(8601 digits\)/3 is not an integer"
+        ):
+            c1_squared(SpinC((2 * self.big, 0)), h2)
+
+    def test_fiber_pairing_message(self):
+        h2 = H2Model(form=((0, 1), (1, 0)), canonical=(0, 2))
+        desc = FibrationDescriptor(
+            regions=[
+                Region(chi_base=2, fibers=(FiberComponent(1, (1, 0)),)),
+                Region(chi_base=2, fibers=(FiberComponent(1, (3, 0)),)),
+            ],
+            round_circles=(),
+            lefschetz_points=0,
+            signature=0,
+            h2=h2,
+        )
+        with self.assertRaisesRegex(
+            DescriptorError,
+            r"differs across regions: \[100000\.\.\.000000 \(4301 digits\), "
+            r"300000\.\.\.000000 \(4301 digits\)\];",
+        ):
+            common_fiber_pairing(SpinC((self.big, 0)), desc)
+
+    def test_nu_parity_message(self):
+        with self.assertRaisesRegex(
+            InadmissibleError,
+            r"^pairing 3 and fiber chi -199999\.\.\.999998 \(4301 digits\) have distinct parity$",
+        ):
+            nu_function([2 - 2 * self.big], 3)
+
+    def test_admissibility_detail(self):
+        report = admissibility(SpinC((self.big, 2)), torus_descriptor())
+        self.assertEqual(report.regions[0].detail, "pairing 100000...000000 (4301 digits) > 0")
 
 
 if __name__ == "__main__":
