@@ -115,9 +115,9 @@ def _jsonable(value: Any) -> Any:
 
 def _reject_floats(value: Any, path: tuple[Any, ...] = ()) -> None:
     """Floats are only legal inside the cz section's sample matrices."""
+    if path == ("cz",):
+        return
     if isinstance(value, float):
-        if path and path[0] == "cz":
-            return
         dotted = ".".join(str(p) for p in path) or "(root)"
         raise _Exit(2, f"floating point value at {dotted}: only cz samples may be floats")
     if isinstance(value, list):
@@ -160,7 +160,7 @@ def _load_document(source: str | None) -> dict:
             raise _Exit(2, f"cannot read input: {err}") from err
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # a JSONDecodeError, or an integer literal too long to read
             raise _Exit(2, f"malformed JSON: {err}") from err
         except RecursionError:
             raise _Exit(2, _TOO_DEEP) from None
@@ -339,13 +339,8 @@ def cmd_tqft_eval(args: argparse.Namespace) -> dict:
         "value": value,
         "notes": ["the value is canonical up to one overall sign"],
     }
-    separating = [
-        j
-        for j, m in enumerate(cycle.moves)
-        if m.kind in ("down", "up") and m.circle is not None and not any(m.circle)
-    ]
-    if separating:
-        j = separating[0]
+    j = next((j for j, m in enumerate(cycle.moves) if m.separating), None)
+    if j is not None:
         report["separating_move"] = j
         report["notes"].append(
             f"move {j} is surgery along a nullhomologous circle: zero map, zero value"

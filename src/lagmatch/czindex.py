@@ -30,6 +30,19 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+# The fixed tolerances of the crossing count, and what each one bounds:
+#   JUMP_TOL    the entries of the step between consecutive samples;
+#   END_TOL     |det(Psi(1) - I)|, relative to the largest |det(Psi(t) - I)|,
+#               below which the end is degenerate;
+#   KERNEL_TOL  the singular values of Psi(t) - I that span a crossing's
+#               kernel, and the relative size of a crossing-form eigenvalue
+#               that counts as zero;
+#   SYMPL_TOL   the entries of M^T J M - J, for every sample M.
+JUMP_TOL = 0.5
+END_TOL = 1e-8
+KERNEL_TOL = 1e-6
+SYMPL_TOL = 1e-6
+
 
 class DegenerateEndpoint(ValueError):
     """det(Psi(1) - I) is (numerically) zero; the index is undefined."""
@@ -74,22 +87,8 @@ def direct_sum(a: Sequence[Sequence[float]], b: Sequence[Sequence[float]]) -> li
     return out.tolist()
 
 
-def conley_zehnder(
-    samples: Sequence[Sequence[Sequence[float]]],
-    *,
-    jump_tol: float = 0.5,
-    end_tol: float = 1e-8,
-    kernel_tol: float = 1e-6,
-    sympl_tol: float = 1e-6,
-) -> CzResult:
-    """Crossing-count Conley-Zehnder index of a sampled symplectic path.
-
-    ``samples[i]`` is the matrix at time i/(len-1); the first must be the
-    identity and the last must have no eigenvalue 1.  Raises
-    DegenerateEndpoint for a degenerate end, ValueError for inputs that
-    are not a symplectic path at all, and ResolutionError whenever the
-    sampling cannot certify the answer.
-    """
+def _stacked(samples: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
+    """The samples as one (count, dim, dim) array, once they pass the shape checks."""
     mats = [np.asarray(s, dtype=float) for s in samples]
     count = len(mats)
     if count < 5:
@@ -99,100 +98,96 @@ def conley_zehnder(
         raise ValueError("samples must be square matrices of even dimension")
     if any(m.shape != (dim, dim) for m in mats):
         raise ValueError("samples must all have the same shape")
+    return np.array(mats)
+
+
+def conley_zehnder(samples: Sequence[Sequence[Sequence[float]]]) -> CzResult:
+    """Crossing-count Conley-Zehnder index of a sampled symplectic path.
+
+    ``samples[i]`` is the matrix at time i/(len-1); the first must be the
+    identity and the last must have no eigenvalue 1.  Raises
+    DegenerateEndpoint for a degenerate end, ValueError for inputs that
+    are not a symplectic path at all, and ResolutionError whenever the
+    sampling cannot certify the answer.
+    """
+    path = _stacked(samples)
+    count, dim, _ = path.shape
     half = dim // 2
     J = _standard_j(half)
     eye = np.eye(dim)
-    if np.max(np.abs(mats[0] - eye)) > 1e-9:
+    if np.max(np.abs(path[0] - eye)) > 1e-9:
         raise ValueError("path must start at the identity")
-    for i, m in enumerate(mats):
-        if np.max(np.abs(m.T @ J @ m - J)) > sympl_tol:
-            raise ValueError(f"sample {i} is not symplectic to tolerance {sympl_tol}")
-    steps = [float(np.max(np.abs(mats[i + 1] - mats[i]))) for i in range(count - 1)]
-    worst = max(range(count - 1), key=lambda i: steps[i])
-    if steps[worst] > jump_tol:
+    drift = np.abs(np.swapaxes(path, 1, 2) @ J @ path - J).max(axis=(1, 2)) > SYMPL_TOL
+    if drift.any():
+        raise ValueError(f"sample {np.argmax(drift)} is not symplectic to tolerance {SYMPL_TOL}")
+    steps = np.abs(np.diff(path, axis=0)).max(axis=(1, 2))
+    worst = int(np.argmax(np.fmax(steps, 0.0)))  # a NaN step is never the worst
+    if steps[worst] > JUMP_TOL:
         raise ResolutionError(
-            f"jump of size {steps[worst]:.3g} > {jump_tol} between samples "
+            f"jump of size {steps[worst]:.3g} > {JUMP_TOL} between samples "
             f"{worst} and {worst + 1}; refine the sampling"
         )
 
     h = 1.0 / (count - 1)
-    dets = [float(np.linalg.det(m - eye)) for m in mats]
-    scale = max(1.0, max(abs(d) for d in dets))
-    if abs(dets[-1]) < end_tol * scale:
+    dets = np.linalg.det(path - eye)
+    scale = float(np.fmax.reduce(np.abs(dets), initial=1.0))  # NaNs left out
+    if abs(dets[-1]) < END_TOL * scale:
         raise DegenerateEndpoint("det(Psi(1) - I) is numerically zero")
 
     def velocity(i: int) -> np.ndarray:
         if i == 0:
-            return (mats[1] - mats[0]) / h
-        if i == count - 1:
-            return (mats[-1] - mats[-2]) / h
-        return (mats[i + 1] - mats[i - 1]) / (2 * h)
+            return (path[1] - path[0]) / h
+        return (path[i + 1] - path[i - 1]) / (2 * h)
 
     def signature_of(form: np.ndarray, where: str) -> int:
-        form = (form + form.T) / 2.0
-        eigs = np.linalg.eigvalsh(form)
-        tol = kernel_tol * max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
-        if any(abs(e) <= tol for e in eigs):
+        eigs = np.linalg.eigvalsh((form + form.T) / 2.0)
+        if (np.abs(eigs) <= KERNEL_TOL * max(1.0, float(np.abs(eigs).max()))).any():
             raise ResolutionError(f"degenerate crossing form {where}; refine the sampling")
-        return int(sum(1 for e in eigs if e > 0) - sum(1 for e in eigs if e < 0))
+        return int((eigs > 0).sum() - (eigs < 0).sum())
 
-    def kernel_at(i: int) -> np.ndarray:
-        local = max(
-            steps[max(i - 1, 0)],
-            steps[min(i, count - 2)],
-        )
-        cutoff = max(kernel_tol, 3.0 * local)
-        _, s, vt = np.linalg.svd(mats[i] - eye)
-        cols = [vt[r] for r in range(dim) if s[r] < cutoff]
-        if not cols:
+    def crossing_signature(i: int) -> int:
+        cutoff = max(KERNEL_TOL, 3.0 * max(steps[i - 1], steps[i]))
+        _, s, vt = np.linalg.svd(path[i] - eye)
+        kernel = vt[s < cutoff].T
+        if not kernel.size:
             raise ResolutionError(
                 f"crossing near sample {i} has no resolvable kernel; refine the sampling"
             )
-        return np.stack(cols, axis=1)
-
-    def crossing_signature(i: int) -> int:
-        kernel = kernel_at(i)
-        form = kernel.T @ J @ (velocity(i) @ kernel)
-        return signature_of(form, f"near sample {i}")
+        return signature_of(kernel.T @ J @ (velocity(i) @ kernel), f"near sample {i}")
 
     # t = 0: the whole space is the kernel, half weight.
     total = 0.5 * signature_of(J @ velocity(0), "at t = 0")
 
+    # Candidates at the interior samples i, with (u, v, w) the determinants
+    # at i - 1, i, i + 1: a sign change, credited to whichever of i - 1 and
+    # i is nearer the zero; a numerical zero; or a parabolic tangency of the
+    # determinant (flipped positive) that dips within curv / 4 of zero.
     tiny = 1e-11 * scale
+    with np.errstate(all="ignore"):
+        u, v, w = dets[:-2], dets[1:-1], dets[2:]
+        sign_change = (u * v < 0) & (np.abs(u) > tiny)
+        back = sign_change & ~(np.abs(v) <= np.abs(u))
+        hit = sign_change | (np.abs(v) < tiny)
+        flip = np.where(u >= 0, 1.0, -1.0)
+        u, v, w = flip * u, flip * v, flip * w
+        curv = (u + w) / 2.0 - v
+        slope = (w - u) / 2.0
+        dip = v - slope * slope / (4.0 * curv)
+        hit |= (0 <= v) & (v <= np.where(w < u, w, u)) & (curv > 0) & (
+            np.abs(slope) <= 2.02 * curv) & (dip <= curv / 4.0)
+    candidates = np.flatnonzero(hit) + 1
+
+    # After a crossing at sample p the scan resumes at sample p + 2.  No
+    # crossing is credited to sample 0: after the identity check
+    # |det(Psi(0) - I)| is far below tiny, so a sign change at sample 1
+    # never goes back to it.
     crossings = 0
-    i = 1
-    last_used = 0
-    while i < count - 1:
-        if i <= last_used:
-            i += 1
-            continue
-        hit = False
-        if dets[i - 1] * dets[i] < 0 and abs(dets[i - 1]) > tiny:
-            hit = True
-            pick = i if abs(dets[i]) <= abs(dets[i - 1]) else i - 1
-        elif abs(dets[i]) < tiny:
-            hit = True
-            pick = i
-        elif 0 < i < count - 1:
-            # Parabolic tangency test on |f| flipped positive.
-            u, v, w = dets[i - 1], dets[i], dets[i + 1]
-            s = 1.0 if u >= 0 else -1.0
-            u, v, w = s * u, s * v, s * w
-            if 0 <= v <= min(u, w):
-                curv = (u + w) / 2.0 - v
-                slope = (w - u) / 2.0
-                if curv > 0 and abs(slope) <= 2.02 * curv:
-                    dip = v - slope * slope / (4.0 * curv)
-                    if dip <= curv / 4.0:
-                        hit = True
-                        pick = i
-        if hit:
+    resume = 1
+    for i, pick in zip(candidates.tolist(), (candidates - back[hit]).tolist()):
+        if i >= resume:
             total += crossing_signature(pick)
             crossings += 1
-            last_used = pick + 1
-            i = pick + 2
-        else:
-            i += 1
+            resume = pick + 2
 
     index = round(total)
     if abs(total - index) > 1e-6:

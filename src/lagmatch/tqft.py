@@ -243,6 +243,11 @@ class ElementaryMove:
         self.circle = tuple(int(c) for c in circle) if circle is not None else None
         self.matrix = matrix
 
+    @property
+    def separating(self) -> bool:
+        """A surgery along a nullhomologous circle, which induces the zero map."""
+        return self.kind != "twist" and not any(self.circle)
+
     @classmethod
     def down(cls, circle: Sequence[int]) -> "ElementaryMove":
         return cls("down", circle=circle)
@@ -293,9 +298,9 @@ class MorseCycle:
                     raise NonClosingCycle(f"move {j} twists but genus {g_here} -> {g_next}")
                 if move.matrix.lattice.genus != g_here:
                     raise NonClosingCycle(f"move {j} matrix has the wrong genus")
-            if move.kind == "down" and move.circle is not None and len(move.circle) != 2 * g_here:
+            if move.kind == "down" and len(move.circle) != 2 * g_here:
                 raise NonClosingCycle(f"move {j} circle has the wrong rank")
-            if move.kind == "up" and move.circle is not None and len(move.circle) != 2 * g_next:
+            if move.kind == "up" and len(move.circle) != 2 * g_next:
                 raise NonClosingCycle(f"move {j} circle has the wrong rank")
         for j in range(k):
             nu = n0 + fibers[j] - fibers[0]
@@ -434,7 +439,7 @@ def connected_sum_invariant(cycle: MorseCycle) -> ConnectedSumReport:
     factor responsible.  Raises ValueError if no move separates.
     """
     for j, move in enumerate(cycle.moves):
-        if move.kind in ("down", "up") and move.circle is not None and not any(move.circle):
+        if move.separating:
             value = evaluate_cycle(cycle)
             if value != 0:
                 raise AssertionError("separating surgery produced a nonzero evaluation")

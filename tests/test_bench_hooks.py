@@ -43,6 +43,28 @@ def test_tracing_installs_and_restores():
     assert tracer.spans
 
 
+def test_tracing_drives_the_cz_layer(capsys):
+    """The hooks on conley_zehnder and _reject_floats read the cz samples and result."""
+    tracing = _tracing()
+    from lagmatch import cli
+    from lagmatch.fixtures import FIXTURES
+
+    before = _namespaces()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert cli.main(["cz", "--input", "fixture:rotation-path", "--json"]) == 0
+    finally:
+        tracer.restore()
+    assert _namespaces() == before
+    names = {span[0] for span in tracer.spans}
+    assert {"czindex", "float_walk"} <= names
+    (samples,) = FIXTURES["rotation-path"]["cz"]["paths"]
+    assert tracer.counts["czindex.samples"] == len(samples)
+    assert tracer.counts["czindex.crossings"] == 0
+    assert '"interior_crossings": 0' in capsys.readouterr().out
+
+
 def test_tracing_drives_the_composite():
     """The hooks on move_matrix, SymLinearMap.__matmul__ and SymSpace read the lifts."""
     tracing = _tracing()

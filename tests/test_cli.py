@@ -371,6 +371,23 @@ def test_huge_integers_exit_2_with_one_line(tmp_path, capsys, digits, fmt):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def test_overlong_integer_literal_is_malformed_json(tmp_path, capsys, monkeypatch):
+    """json.loads refuses an integer literal past the interpreter's digit limit
+    with a plain ValueError; that is malformed input, from a file or stdin."""
+    fix = json.loads(json.dumps(FIXTURES["sphere-cycle"]))
+    fix["morse_cycle"]["n0"] = 0
+    text = json.dumps(fix).replace('"n0": 0', '"n0": ' + "9" * 5000)
+    path = tmp_path / "cycle.json"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    for source in (str(path), "-"):
+        assert main(["tqft-eval", "--input", source]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed JSON: "), lines
+
+
 def test_separating_down_then_non_primitive_up_exits_3(tmp_path, capsys):
     path = tmp_path / "cycle.json"
     path.write_text(doc(morse_cycle={

@@ -353,6 +353,14 @@ def test_connected_sum_report():
         connected_sum_invariant(honest)
 
 
+def test_separating_moves():
+    assert ElementaryMove.down((0, 0)).separating
+    assert ElementaryMove.up((0, 0, 0, 0)).separating
+    assert not ElementaryMove.down((0, 1)).separating
+    assert not ElementaryMove.up((1, 0, 0, 0)).separating
+    assert not ElementaryMove.twist(SpMatrix.identity(SymplecticLattice(1))).separating
+
+
 def test_non_closing_cycles_rejected():
     lat1 = SymplecticLattice(1)
     with pytest.raises(NonClosingCycle):
