@@ -10,7 +10,8 @@ Subcommands::
 
 ``--input`` accepts a path, ``-`` for stdin, or ``fixture:NAME`` for one of
 the embedded documents.  Documents are validated against the published
-JSON Schema (see ``lagmatch.schema``); every subcommand writes its report
+JSON Schema (see ``lagmatch.schema``): ``conforms`` accepts valid ones and
+jsonschema words every rejection; every subcommand writes its report
 to stdout (``--json`` for JSON, key/value lines otherwise) and diagnostics
 to stderr.
 
@@ -37,10 +38,10 @@ from typing import Any, Sequence
 
 import jsonschema
 
-from .czindex import DegenerateEndpoint, ResolutionError, conley_zehnder
+from .czindex import DegenerateEndpoint, NonFiniteSample, ResolutionError, conley_zehnder
 from .exterior import SpMatrix, SymplecticLattice
 from .fixtures import FIXTURES
-from .schema import INPUT_SCHEMA
+from .schema import INPUT_SCHEMA, conforms
 from .spinc import (
     DescriptorError,
     FiberComponent,
@@ -155,8 +156,12 @@ def _load_document(source: str | None) -> dict:
         doc = copy.deepcopy(FIXTURES[name])
     else:
         try:
-            text = sys.stdin.read() if source == "-" else open(source, "r", encoding="utf-8").read()
-        except OSError as err:
+            if source == "-":
+                text = sys.stdin.read()
+            else:
+                with open(source, encoding="utf-8") as fh:
+                    text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
             raise _Exit(2, f"cannot read input: {err}") from err
         try:
             doc = json.loads(text)
@@ -166,13 +171,14 @@ def _load_document(source: str | None) -> dict:
             raise _Exit(2, _TOO_DEEP) from None
     if not isinstance(doc, dict):
         raise _Exit(2, "input document must be a JSON object")
-    try:
-        err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(doc))
-    except RecursionError:  # the message quotes the offending value with repr
-        raise _Exit(2, _TOO_DEEP) from None
-    if err is not None:
-        where = "/".join(str(p) for p in err.absolute_path) or "(root)"
-        raise _Exit(2, f"schema violation at {where}: {err.message}")
+    if not conforms(doc):  # jsonschema words the rejection, or accepts, say, a 2.0
+        try:
+            err = jsonschema.exceptions.best_match(_schema_validator().iter_errors(doc))
+        except RecursionError:  # the message quotes the offending value with repr
+            raise _Exit(2, _TOO_DEEP) from None
+        if err is not None:
+            where = "/".join(str(p) for p in err.absolute_path) or "(root)"
+            raise _Exit(2, f"schema violation at {where}: {err.message}")
     _reject_floats(doc)
     return doc
 
@@ -383,15 +389,21 @@ def cmd_cz(args: argparse.Namespace) -> dict:
     doc = _load_document(args.input)
     section = _section(doc, "cz")
     paths = section["paths"] if "paths" in section else [section["samples"]]
+
+    def where(p: int, i: int) -> str:
+        return f"cz.paths[{p}][{i}]" if "paths" in section else f"cz.samples[{i}]"
+
     for p, path in enumerate(paths):
         for i, sample in enumerate(path):
             if len({len(row) for row in sample}) > 1:
-                where = f"cz.paths[{p}][{i}]" if "paths" in section else f"cz.samples[{i}]"
-                raise _Exit(2, f"{where}: rows of different lengths")
+                raise _Exit(2, f"{where(p, i)}: rows of different lengths")
     results = []
     total = 0
-    for path in paths:
-        res = conley_zehnder(path)
+    for p, path in enumerate(paths):
+        try:
+            res = conley_zehnder(path)
+        except NonFiniteSample as err:
+            raise _Exit(2, f"{where(p, err.sample)}: entries must be finite numbers") from None
         total += res.index
         results.append(
             {

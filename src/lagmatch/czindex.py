@@ -52,6 +52,14 @@ class ResolutionError(RuntimeError):
     """The sampling is too coarse to certify the crossing count."""
 
 
+class NonFiniteSample(ValueError):
+    """A sample has an entry that is NaN, infinite or too large for a float."""
+
+    def __init__(self, sample: int):
+        super().__init__(f"sample {sample} has an entry that is not a finite float")
+        self.sample = sample
+
+
 class CzResult(NamedTuple):
     index: int
     parity: int
@@ -89,7 +97,13 @@ def direct_sum(a: Sequence[Sequence[float]], b: Sequence[Sequence[float]]) -> li
 
 def _stacked(samples: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
     """The samples as one (count, dim, dim) array, once they pass the shape checks."""
-    mats = [np.asarray(s, dtype=float) for s in samples]
+    mats = []
+    for i, s in enumerate(samples):
+        try:
+            mats.append(np.asarray(s, dtype=float))
+        except OverflowError:  # an integer past the float range
+            earlier = [j for j, m in enumerate(mats) if not np.isfinite(m).all()]
+            raise NonFiniteSample((earlier or [i])[0]) from None
     count = len(mats)
     if count < 5:
         raise ResolutionError(f"need at least 5 samples, got {count}")
@@ -106,11 +120,15 @@ def conley_zehnder(samples: Sequence[Sequence[Sequence[float]]]) -> CzResult:
 
     ``samples[i]`` is the matrix at time i/(len-1); the first must be the
     identity and the last must have no eigenvalue 1.  Raises
-    DegenerateEndpoint for a degenerate end, ValueError for inputs that
-    are not a symplectic path at all, and ResolutionError whenever the
-    sampling cannot certify the answer.
+    DegenerateEndpoint for a degenerate end, NonFiniteSample for the first
+    sample with a NaN, infinite or overflowing entry, ValueError for other
+    inputs that are not a symplectic path at all, and ResolutionError
+    whenever the sampling cannot certify the answer.
     """
     path = _stacked(samples)
+    finite = np.isfinite(path).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteSample(int(np.argmin(finite)))
     count, dim, _ = path.shape
     half = dim // 2
     J = _standard_j(half)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from unittest import mock
 
 import jsonschema
@@ -322,7 +323,8 @@ def test_main_returns_exit_code():
     assert main(["example", "zzz", "--m", "0", "--n", "0"]) == 2
 
 
-def test_schema_checked_once_per_process():
+def test_schema_checked_once_per_process(tmp_path):
+    """Valid documents never build the jsonschema validator; rejections build it once."""
     validator = jsonschema.validators.validator_for(cli.INPUT_SCHEMA)
     original = validator.check_schema
     calls = []
@@ -335,7 +337,57 @@ def test_schema_checked_once_per_process():
     with mock.patch.object(validator, "check_schema", classmethod(counted)):
         for name in sorted(FIXTURES) * 2:
             cli._load_document(f"fixture:{name}")
+        assert len(calls) == 0
+        for k, bad in enumerate([doc(extra=1), doc(cz={"samples": []})]):
+            path = tmp_path / f"bad{k}.json"
+            path.write_text(bad)
+            with pytest.raises(cli._Exit, match="schema violation"):
+                cli._load_document(str(path))
     assert len(calls) == 1
+
+
+def test_undecodable_input_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "lagmatch-input@1", "note": "\xff"}')
+    assert main(["dim", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read input: 'utf-8' codec"), lines
+
+
+def _half_turn(count=41):
+    return [[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+            for t in (math.pi * k / (count - 1) for k in range(count))]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("form", ["samples", "paths"])
+def test_non_finite_cz_sample_exits_2(tmp_path, capsys, literal, form):
+    """The first sample with a non-finite entry is named, and numpy stays quiet."""
+    samples = _half_turn()
+    samples[3][0][1] = samples[7][1][1] = "X"
+    section = {"samples": samples} if form == "samples" else {"paths": [_half_turn(), samples]}
+    path = tmp_path / "cz.json"
+    path.write_text(doc(cz=section).replace('"X"', literal))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cz", "--input", str(path)]) == 2
+    where = "cz.samples[3]" if form == "samples" else "cz.paths[1][3]"
+    assert capsys.readouterr() == ("", f"error: {where}: entries must be finite numbers\n")
+
+
+@pytest.mark.parametrize("nan_at, first", [(None, 5), (2, 2)])
+def test_cz_integer_past_the_float_range_exits_2(capsys, nan_at, first):
+    """An integer that no float holds is non-finite too, named in sample order."""
+    samples = _half_turn()
+    samples[5][0][0] = "X"
+    if nan_at is not None:
+        samples[nan_at][1][0] = float("nan")
+    text = doc(cz={"samples": samples}).replace('"X"', "1" + "0" * 400)
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        assert main(["cz", "--input", "-"]) == 2
+    assert capsys.readouterr() == ("", f"error: cz.samples[{first}]: entries must be finite numbers\n")
 
 
 def test_parser_built_once_per_process(capsys):
