@@ -217,15 +217,16 @@ def _parse_descriptor(raw: dict) -> FibrationDescriptor:
 
 def _parse_cycle(raw: dict) -> MorseCycle:
     fibers = _as_int_list(raw["fibers"], "morse_cycle.fibers")
+    if len(fibers) != len(raw["moves"]):
+        raise NonClosingCycle("need one move per fiber, cyclically")
     moves = []
     for j, move in enumerate(raw["moves"]):
         kind = move["kind"]
         if kind == "twist":
             if "matrix" not in move:
                 raise _Exit(2, f"move {j}: twist moves need a matrix")
-            g = fibers[j] if j < len(fibers) else 0
             rows = [_as_int_list(row, f"move {j} matrix row") for row in move["matrix"]]
-            moves.append(ElementaryMove.twist(SpMatrix(SymplecticLattice(g), rows)))
+            moves.append(ElementaryMove.twist(SpMatrix(SymplecticLattice(fibers[j]), rows)))
         else:
             if "circle" not in move:
                 raise _Exit(2, f"move {j}: {kind} moves need a circle")

@@ -77,9 +77,11 @@ class SymplecticLattice:
 
 def intersection(lattice: SymplecticLattice, x: Sequence[int], y: Sequence[int]) -> int:
     """Algebraic intersection number x . y = x^T J y."""
-    x = lattice.check_vector(x)
-    y = lattice.check_vector(y)
-    g = lattice.genus
+    return _pairing(lattice.genus, lattice.check_vector(x), lattice.check_vector(y))
+
+
+def _pairing(g: int, x: Sequence[int], y: Sequence[int]) -> int:
+    """x . y for int vectors already known to have length 2g, unchecked."""
     return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g))
 
 
@@ -367,19 +369,14 @@ class SpMatrix:
             raise ValueError("matrix does not preserve the symplectic form")
 
     def _is_symplectic(self) -> bool:
-        n = self.lattice.rank
         g = self.lattice.genus
         # Check M^T J M = J column pair by column pair.
-        cols = [self.column(j) for j in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                want = 0
-                if j == i + g and i < g:
-                    want = 1
-                got = intersection(self.lattice, cols[i], cols[j])
-                if got != want:
-                    return False
-        return True
+        cols = list(zip(*self.rows))
+        return all(
+            _pairing(g, cols[i], cols[j]) == int(i < g and j == i + g)
+            for i in range(len(cols))
+            for j in range(i, len(cols))
+        )
 
     @classmethod
     def identity(cls, lattice: SymplecticLattice) -> "SpMatrix":
@@ -555,15 +552,12 @@ def adapted_basis(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix
     if content != 1:
         raise ValueError("circle class must be primitive")
 
-    def omega(x: Sequence[int], y: Sequence[int]) -> int:
-        return intersection(lattice, x, y)
-
     gens: list[tuple[int, ...]] = [lattice.basis_vector(i) for i in range(lattice.rank)]
     u: tuple[int, ...] | None = circle
     us: list[tuple[int, ...]] = []
     ws: list[tuple[int, ...]] = []
     while u is not None and len(us) < g:
-        pairings = [omega(u, x) for x in gens]
+        pairings = [_pairing(g, u, x) for x in gens]
         d, coeffs = _bezout(pairings)
         if d != 1:
             raise ValueError("internal: non-unimodular pairing with a primitive class")
@@ -572,8 +566,8 @@ def adapted_basis(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix
         ws.append(w)
         projected = []
         for x in gens:
-            wx = omega(w, x)
-            ux = omega(u, x)
+            wx = _pairing(g, w, x)
+            ux = _pairing(g, u, x)
             projected.append(
                 tuple(x[i] + wx * u[i] - ux * w[i] for i in range(lattice.rank))
             )
@@ -581,7 +575,7 @@ def adapted_basis(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix
         u = None
         for x in gens:
             if any(x):
-                pair_gcd = math.gcd(*(omega(x, y) for y in gens))
+                pair_gcd = math.gcd(*(_pairing(g, x, y) for y in gens))
                 if pair_gcd == 0:
                     continue
                 if any(c % pair_gcd for c in x):

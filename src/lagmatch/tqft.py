@@ -15,11 +15,14 @@ Surgery along a nullhomologous (separating) circle induces the zero map,
 so any cycle containing one evaluates to zero; ``connected_sum_invariant``
 reports that short-circuit explicitly.
 
-For a fibration with no surgeries at all (a single twist by the monodromy
-M), the evaluation collapses to coefficients of the characteristic
-polynomial of M: ``alexander_fibered`` computes the symmetrized form
-det(tI - M)/t^g and ``alexander_cycle_value`` the weighted coefficient sum
-that the supertrace equals.
+For a fibration with no surgeries at all (twists only, with monodromy
+the product M), the evaluation collapses to coefficients of the
+characteristic polynomial of M (Macdonald's formula for Sym^n of a
+surface), and ``evaluate_cycle`` takes it from ``_char_poly``; words with a
+surgery are pushed through the folded move images.  ``alexander_fibered``
+computes the symmetrized form det(tI - M)/t^g and
+``alexander_cycle_value`` the weighted coefficient sum that the
+supertrace equals.
 """
 
 from __future__ import annotations
@@ -373,15 +376,18 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     value is sum over k of (-1)^k (n0 - k + 1) tr C_k, canonical up to
     one overall sign.
 
-    The stages are the move images' own constructors.  Lambda is a
-    functor, so the twists since the last surgery act as the exterior
-    power of their integer product P, which folds into the next down
-    frame: a down is ``_contract_a1(frame P)``.  An up is ``_insert_a1``
-    followed by its inverse frame; the insertion carries P across as
-    1 + P, and the frame times 1 + P stays pending.  Each down thus costs
-    one integer exterior power, and whatever is pending at the end of the
-    word one more.  Every circle is checked before a separating one
-    short-circuits to zero.
+    A word with no surgery is twists only, and tr C_k = tr Lambda^k P for
+    their integer product P, which ``_macdonald_value`` reads off the
+    characteristic polynomial of P.  Otherwise every e_S with |S| <=
+    min(n0, 2g) is pushed through stages that are the move images' own
+    constructors.  Lambda is a functor, so the twists since the last
+    surgery act as the exterior power of their integer product P, which
+    folds into the next down frame: a down is ``_contract_a1(frame P)``.
+    An up is ``_insert_a1`` followed by its inverse frame; the insertion
+    carries P across as 1 + P, and the frame times 1 + P stays pending.
+    Each down thus costs one integer exterior power, and whatever is
+    pending at the end of the word one more.  Every circle is checked
+    before a separating one short-circuits to zero.
     """
     stages: list[Image] = []
     pending: SpMatrix | None = None
@@ -407,6 +413,9 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
         separating |= frame is None
     if separating:
         return 0
+    if not stages:
+        assert pending is not None
+        return _macdonald_value(pending, cycle.n0)
     last = None if pending is None else _twist_image(pending)
     rank = 2 * cycle.fibers[0]
     total = 0
@@ -468,7 +477,8 @@ def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
     B = [[int(i == j) for j in range(N)] for i in range(N)]
     cs = [1]
     for k in range(1, N + 1):
-        AB = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in rows]
+        cols = list(zip(*B))
+        AB = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
         trace = sum(AB[i][i] for i in range(N))
         if trace % k:
             raise AssertionError("characteristic polynomial of an integer matrix must be integral")
@@ -476,6 +486,18 @@ def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
         cs.append(ck)
         B = [[x + ck if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AB)]
     return [cs[N - m] for m in range(N + 1)]
+
+
+def _macdonald_value(monodromy: SpMatrix, n0: int) -> int:
+    """Supertrace on Sym^{n0} of a twist-only word with product P = ``monodromy``.
+
+    Macdonald's formula: with c the coefficients of det(tI - P), the value
+    sum_k (-1)^k (n0 - k + 1) tr Lambda^k P is sum_k (n0 - k + 1) c[2g - k]
+    over k <= min(n0, 2g), since c[2g - k] = (-1)^k tr Lambda^k P.
+    """
+    c = _char_poly(monodromy.rows)
+    rank = len(c) - 1
+    return sum((n0 - k + 1) * c[rank - k] for k in range(min(n0, rank) + 1))
 
 
 class AlexanderForm:

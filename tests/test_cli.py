@@ -455,6 +455,16 @@ def test_separating_down_then_non_primitive_up_exits_3(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "error: circle class must be primitive\n")
 
 
+def test_more_moves_than_fibers_exits_3_before_reading_matrices(tmp_path, capsys):
+    """The lengths are compared before any twist matrix is built for a fiber."""
+    path = tmp_path / "cycle.json"
+    twist = {"kind": "twist", "matrix": [[1, 0], [0, 1]]}
+    path.write_text(doc(morse_cycle={"n0": 1, "fibers": [1], "moves": [twist, twist]}))
+    assert main(["tqft-eval", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: need one move per fiber, cyclically\n")
+
+
 def test_examples_at_a_million_answer_quickly(capsys):
     for argv, monomial in (
         (["example", "s2xs2", "--m", "0", "--n", "1000000", "--json"], "U^1000000"),

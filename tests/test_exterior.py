@@ -213,6 +213,59 @@ def test_spmatrix_rejects_non_symplectic():
         SpMatrix(lat, [[1, 1], [1, 1]])
 
 
+def test_spmatrix_accepts_exactly_the_matrices_preserving_j():
+    """SpMatrix raises exactly when M^T J M != J, computed here densely."""
+    rng = random.Random(17)
+    for g in range(1, 4):
+        lat = SymplecticLattice(g)
+        J = lat.intersection_form()
+        n = lat.rank
+        candidates = []
+        for _ in range(12):
+            rows = [list(r) for r in random_sp(rng, lat).rows]
+            bent = [list(r) for r in rows]
+            bent[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+            candidates += [rows, bent]
+            candidates.append([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+            # [[I, 0], [S, I]] and [[I, S], [0, I]] are symplectic iff S is
+            # symmetric; otherwise only the a-a (or b-b) pairings are off.
+            S = [[rng.randint(-1, 1) for _ in range(g)] for _ in range(g)]
+            if rng.random() < 0.5:
+                S = [[S[min(i, j)][max(i, j)] for j in range(g)] for i in range(g)]
+            for lower in (True, False):
+                shear = [[int(i == j) for j in range(n)] for i in range(n)]
+                for i in range(g):
+                    for j in range(g):
+                        if lower:
+                            shear[g + i][j] = S[i][j]
+                        else:
+                            shear[i][g + j] = S[i][j]
+                candidates.append(shear)
+            # I + one entry breaks at most the pairings of one column.
+            single = [[int(i == j) for j in range(n)] for i in range(n)]
+            single[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+            candidates.append(single)
+        accepted = 0
+        for rows in candidates:
+            mtj = [[sum(rows[k][i] * J[k][l] for k in range(n)) for l in range(n)] for i in range(n)]
+            mtjm = [[sum(mtj[i][l] * rows[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+            if mtjm == J:
+                assert SpMatrix(lat, rows).rows == tuple(map(tuple, rows))
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match="^matrix does not preserve the symplectic form$"):
+                    SpMatrix(lat, rows)
+        assert accepted >= 12
+
+
+def test_intersection_checks_vector_lengths():
+    lat = SymplecticLattice(2)
+    with pytest.raises(ValueError, match="^vector has length 3, lattice rank is 4$"):
+        intersection(lat, (1, 0, 0), (0, 0, 1, 0))
+    with pytest.raises(ValueError, match="^vector has length 5, lattice rank is 4$"):
+        intersection(lat, (1, 0, 0, 0), (0, 0, 1, 0, 0))
+
+
 def test_transvection_fixes_its_vector():
     rng = random.Random(13)
     for g in (1, 2, 3):

@@ -540,3 +540,67 @@ def test_separating_down_before_non_primitive_up_still_fails():
     )
     with pytest.raises(ValueError, match="^circle class must be primitive$"):
         evaluate_cycle(cycle)
+
+
+# -- twist-only words: Macdonald's formula ---------------------------------
+
+
+def test_twist_only_words_match_reference_composite():
+    """The closed form equals the graded trace of the composite of lifts,
+    sign included, up to and past the min(n0, 2g) cap."""
+    rng = random.Random(43)
+    for g in range(4):
+        lat = SymplecticLattice(g)
+        for n0 in range(2 * g + 3):
+            count = rng.randint(1, 3)
+            moves = [ElementaryMove.twist(random_sp(rng, lat)) for _ in range(count)]
+            cycle = MorseCycle([g] * count, moves, n0)
+            assert evaluate_cycle(cycle) == graded_trace(cycle), cycle
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_twist_only_direct_sum_of_torus_blocks():
+    """Eight genus-1 blocks, conjugated dense: det(t - P) is the product of
+    t^2 - tr_i t + 1, so sum_k (-1)^k (n0 - k + 1) tr Lambda^k P is known
+    from the block traces alone."""
+    rng = random.Random(44)
+    g = 8
+    lat = SymplecticLattice(g)
+    rows = [[0] * (2 * g) for _ in range(2 * g)]
+    poly = [1]  # coefficients of t^0, t^1, ...
+    for i in range(g):
+        block = [[1, 0], [0, 1]]
+        for _ in range(rng.randint(1, 4)):
+            step = rng.choice(([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, -1], [0, 1]], [[1, 0], [-1, 1]]))
+            block = [[sum(block[r][k] * step[k][c] for k in range(2)) for c in range(2)] for r in range(2)]
+        (p, q), (r, s) = block
+        rows[i][i], rows[i][g + i], rows[g + i][i], rows[g + i][g + i] = p, q, r, s
+        poly = _poly_mul(poly, [1, -(p + s), 1])
+    conj = random_sp(rng, lat, length=6)
+    word = [conj.inverse(), SpMatrix(lat, rows), conj]
+    cycle_moves = [ElementaryMove.twist(m) for m in word]
+    start = time.perf_counter()
+    for n0 in (0, 1, 5, 2 * g, 2 * g + 3):
+        # tr Lambda^k P = (-1)^k [t^(2g - k)] det(t - P)
+        expected = sum((n0 - k + 1) * poly[2 * g - k] for k in range(min(n0, 2 * g) + 1))
+        assert evaluate_cycle(MorseCycle([g] * 3, cycle_moves, n0)) == expected, n0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_dense_genus_six_twist_answers_quickly():
+    rng = random.Random(45)
+    lat = SymplecticLattice(6)
+    matrix = random_sp(rng, lat, length=12)
+    assert sum(1 for row in matrix.rows for x in row if x) > 100
+    cycle = MorseCycle([6], [ElementaryMove.twist(matrix)], 12)
+    start = time.perf_counter()
+    value = evaluate_cycle(cycle)
+    assert time.perf_counter() - start < 0.05
+    assert value == alexander_cycle_value(alexander_fibered(matrix), 12, 6)
