@@ -38,7 +38,13 @@ from typing import Any, Sequence
 
 import jsonschema
 
-from .czindex import DegenerateEndpoint, NonFiniteSample, ResolutionError, conley_zehnder
+from .czindex import (
+    DegenerateEndpoint,
+    NonFiniteSample,
+    ResolutionError,
+    conley_zehnder,
+    stacked,
+)
 from .exterior import SpMatrix, SymplecticLattice
 from .fixtures import FIXTURES
 from .schema import INPUT_SCHEMA, conforms
@@ -68,6 +74,7 @@ from .tqft import (
     alexander_cycle_value,
     alexander_fibered,
     evaluate_cycle,
+    fibered_value,
     worked_example,
 )
 
@@ -274,10 +281,11 @@ def cmd_dim(args: argparse.Namespace) -> dict:
         ]
         nu = nu_function(fiber_chis, two_d)
         adm = admissibility(spinc, descriptor)
+        c1_sq = c1_squared(spinc, descriptor.h2)
         entry = {
             "c1": list(spinc.c1),
-            "c1_squared": c1_squared(spinc, descriptor.h2),
-            "formal_dimension": formal_dimension(spinc, descriptor),
+            "c1_squared": c1_sq,
+            "formal_dimension": formal_dimension(spinc, descriptor, c1_sq),
             "fiber_pairing": two_d,
             "nu": nu,
             "admissibility": {
@@ -334,7 +342,14 @@ def cmd_gradings(args: argparse.Namespace) -> dict:
 def cmd_tqft_eval(args: argparse.Namespace) -> dict:
     doc = _load_document(args.input)
     cycle = _parse_cycle(_section(doc, "morse_cycle"))
-    value = evaluate_cycle(cycle)
+    fibered = len(cycle.moves) == 1 and cycle.moves[0].kind == "twist"
+    if fibered:  # one characteristic polynomial gives the value and the cross-check
+        matrix = cycle.moves[0].matrix
+        assert matrix is not None
+        form = alexander_fibered(matrix)
+        value = fibered_value(form, cycle.n0)
+    else:
+        value = evaluate_cycle(cycle)
     dims = [poincare_polynomial_dimension(cycle.nu(j), g) for j, g in enumerate(cycle.fibers)]
     report: dict[str, Any] = {
         "command": "tqft-eval",
@@ -352,10 +367,7 @@ def cmd_tqft_eval(args: argparse.Namespace) -> dict:
         report["notes"].append(
             f"move {j} is surgery along a nullhomologous circle: zero map, zero value"
         )
-    if len(cycle.moves) == 1 and cycle.moves[0].kind == "twist":
-        matrix = cycle.moves[0].matrix
-        assert matrix is not None
-        form = alexander_fibered(matrix)
+    if fibered:
         wsum = alexander_cycle_value(form, cycle.n0, cycle.fibers[0])
         report["fibered_crosscheck"] = {
             "alexander_coefficients": list(form.coeffs),
@@ -394,15 +406,17 @@ def cmd_cz(args: argparse.Namespace) -> dict:
     def where(p: int, i: int) -> str:
         return f"cz.paths[{p}][{i}]" if "paths" in section else f"cz.samples[{i}]"
 
-    for p, path in enumerate(paths):
-        for i, sample in enumerate(path):
-            if len({len(row) for row in sample}) > 1:
-                raise _Exit(2, f"{where(p, i)}: rows of different lengths")
+    stacks = [stacked(path) for path in paths]
+    for p, (path, stack) in enumerate(zip(paths, stacks)):
+        if stack is None:  # only a path that does not stack can hold a ragged sample
+            for i, sample in enumerate(path):
+                if len({len(row) for row in sample}) > 1:
+                    raise _Exit(2, f"{where(p, i)}: rows of different lengths")
     results = []
     total = 0
-    for p, path in enumerate(paths):
+    for p, (path, stack) in enumerate(zip(paths, stacks)):
         try:
-            res = conley_zehnder(path)
+            res = conley_zehnder(path if stack is None else stack)
         except NonFiniteSample as err:
             raise _Exit(2, f"{where(p, err.sample)}: entries must be finite numbers") from None
         total += res.index

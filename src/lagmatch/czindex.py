@@ -95,24 +95,43 @@ def direct_sum(a: Sequence[Sequence[float]], b: Sequence[Sequence[float]]) -> li
     return out.tolist()
 
 
-def _stacked(samples: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
-    """The samples as one (count, dim, dim) array, once they pass the shape checks."""
-    mats = []
+def stacked(samples: Sequence[Sequence[Sequence[float]]]) -> np.ndarray | None:
+    """The samples as one (count, rows, columns) float array, or None when
+    they are not all of one shape or hold an integer past the float range."""
+    try:
+        path = np.asarray(samples, dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    return path if path.ndim == 3 else None
+
+
+def _one_by_one(samples: Sequence[Sequence[Sequence[float]]]) -> list[np.ndarray]:
+    """Each sample as an array, so that an overflow names the first non-finite sample."""
+    mats: list[np.ndarray] = []
     for i, s in enumerate(samples):
         try:
             mats.append(np.asarray(s, dtype=float))
         except OverflowError:  # an integer past the float range
             earlier = [j for j, m in enumerate(mats) if not np.isfinite(m).all()]
             raise NonFiniteSample((earlier or [i])[0]) from None
+    return mats
+
+
+def _stacked(samples: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
+    """The samples as one (count, dim, dim) array, once they pass the shape checks."""
+    path = stacked(samples)
+    mats = _one_by_one(samples) if path is None else path
     count = len(mats)
     if count < 5:
         raise ResolutionError(f"need at least 5 samples, got {count}")
     dim = mats[0].shape[0] if mats[0].ndim == 2 else 0
     if mats[0].shape != (dim, dim) or dim % 2 or dim == 0:
         raise ValueError("samples must be square matrices of even dimension")
-    if any(m.shape != (dim, dim) for m in mats):
-        raise ValueError("samples must all have the same shape")
-    return np.array(mats)
+    if path is None:
+        if any(m.shape != (dim, dim) for m in mats):
+            raise ValueError("samples must all have the same shape")
+        path = np.array(mats)
+    return path
 
 
 def conley_zehnder(samples: Sequence[Sequence[Sequence[float]]]) -> CzResult:

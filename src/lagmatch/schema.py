@@ -11,12 +11,12 @@ numbers are rejected everywhere except inside ``cz`` sample matrices.
 That float rule is enforced by the CLI after validation, since JSON Schema
 alone cannot distinguish 2 from 2.0.
 
-Valid documents are accepted by ``conforms``, a standard-library walk of
-the few draft-07 keywords this schema uses; it is conservative, so a
-document it accepts is one jsonschema accepts too.  Only a document it
-does not accept goes to jsonschema, which words every rejection (and
-accepts what the walk was too strict for, such as the number 2.0 where
-an integer is due).
+Valid documents are accepted by ``conforms``, a standard-library check of
+the few draft-07 keywords this schema uses, compiled into closures on
+first use.  It is conservative, so a document it accepts is one
+jsonschema accepts too.  Only a document it does not accept goes to
+jsonschema, which words every rejection (and accepts what the check was
+too strict for, such as the number 2.0 where an integer is due).
 
 To print the schema document:
 
@@ -25,9 +25,10 @@ To print the schema document:
 
 from __future__ import annotations
 
+import functools
 import re
-from itertools import repeat
-from typing import Any, Callable
+from itertools import chain
+from typing import Any, Callable, NamedTuple
 
 SCHEMA_VERSION = "lagmatch-input@1"
 
@@ -176,60 +177,150 @@ _DRAFT_07 = "http://json-schema.org/draft-07/schema#"
 # Exact Python types per JSON type: a bool is neither an integer nor a
 # number here, and 2.0 is not an integer, which is stricter than jsonschema.
 _EXACT_TYPES = {
-    "object": (dict,),
-    "array": (list,),
-    "string": (str,),
-    "integer": (int,),
-    "number": (int, float),
-    "boolean": (bool,),
+    "object": frozenset({dict}),
+    "array": frozenset({list}),
+    "string": frozenset({str}),
+    "integer": frozenset({int}),
+    "number": frozenset({int, float}),
+    "boolean": frozenset({bool}),
 }
 
-
-def _types(rule: Any) -> tuple[type, ...]:
-    return _EXACT_TYPES.get(rule, ()) if type(rule) is str else ()
+Check = Callable[[Any], bool]
 
 
-def _all_conform(values: list, schema: dict) -> bool:
-    if schema.keys() == {"type"}:  # the common leaf: a row of numbers, say
-        types = _types(schema["type"])
-        return all(type(x) in types for x in values)
-    return all(map(_conforms, values, repeat(schema)))
+def _types(rule: Any) -> frozenset[type]:
+    return _EXACT_TYPES.get(rule, frozenset()) if type(rule) is str else frozenset()
 
 
-# Each keyword's check of (value, rule, enclosing schema).  Like jsonschema,
-# a keyword about one JSON type holds vacuously for values of other types.
-KEYWORDS: dict[str, Callable[[Any, Any, dict], bool]] = {
-    "type": lambda v, rule, s: type(v) in _types(rule),
-    "const": lambda v, rule, s: type(v) is str and type(rule) is str and v == rule,
-    "enum": lambda v, rule, s: type(v) is str and any(type(o) is str and v == o for o in rule),
-    "pattern": lambda v, rule, s: not isinstance(v, str) or re.search(rule, v) is not None,
-    "anyOf": lambda v, rule, s: any(_conforms(v, sub) for sub in rule),
-    "required": lambda v, rule, s: not isinstance(v, dict) or all(k in v for k in rule),
-    "properties": lambda v, rule, s: not isinstance(v, dict) or all(
-        _conforms(v[k], sub) for k, sub in rule.items() if k in v),
-    "additionalProperties": lambda v, rule, s: rule is False and (
-        not isinstance(v, dict) or all(k in s.get("properties", ()) for k in v)),
-    "items": lambda v, rule, s: type(rule) is dict and (
-        not isinstance(v, list) or _all_conform(v, rule)),
-    "minItems": lambda v, rule, s: not isinstance(v, list) or len(v) >= rule,
-    "maxItems": lambda v, rule, s: not isinstance(v, list) or len(v) <= rule,
-    "minProperties": lambda v, rule, s: not isinstance(v, dict) or len(v) >= rule,
-    "maxProperties": lambda v, rule, s: not isinstance(v, dict) or len(v) <= rule,
-}
-
-
-def _unknown(value: Any, rule: Any, schema: dict) -> bool:
+def _never(value: Any) -> bool:
     return False
 
 
-def _conforms(value: Any, schema: dict) -> bool:
+class _Compiled(NamedTuple):
+    one: Check  # does this value conform
+    every: Callable[[list], bool]  # does every value of this list conform
+
+
+def _compile(schema: dict) -> _Compiled:
+    """The schema as closures: one check per keyword, built once.
+
+    ``every`` answers for a whole list at once.  For a bare type that is one
+    set of the values' types; for an array schema, the arrays' types and
+    lengths and then ``every`` of its items over all their elements chained
+    together, so a matrix of numbers is checked without a call per row.
+    """
     # The type first: it is the cheapest refusal and the most common one.
-    if "type" in schema and type(value) not in _types(schema["type"]):
-        return False
-    for key, rule in schema.items():
-        if not KEYWORDS.get(key, _unknown)(value, rule, schema):
+    checks = [KEYWORDS.get(key, _unknown)(rule, schema)
+              for key, rule in sorted(schema.items(), key=lambda item: item[0] != "type")]
+
+    def one(value: Any) -> bool:
+        for check in checks:
+            if not check(value):
+                return False
+        return True
+
+    if schema.keys() == {"type"}:
+        types = _types(schema["type"])
+        return _Compiled(checks[0], lambda values: set(map(type, values)) <= types)
+    if (schema.get("type") == "array" and type(schema.get("items")) is dict
+            and schema.keys() <= {"type", "items", "minItems", "maxItems"}):
+        return _Compiled(one, _every_array(schema))
+    if schema.keys() == {"anyOf"}:
+        alternatives = [_compile(sub).every for sub in schema["anyOf"]]
+
+        def every_any(values: list) -> bool:
+            # One alternative that takes them all decides; else value by value.
+            return any(every(values) for every in alternatives) or all(map(one, values))
+
+        return _Compiled(one, every_any)
+    return _Compiled(one, lambda values: all(map(one, values)))
+
+
+def _every_array(schema: dict) -> Callable[[list], bool]:
+    items = _compile(schema["items"]).every
+    lo, hi = schema.get("minItems"), schema.get("maxItems")
+
+    def every(values: list) -> bool:
+        if not set(map(type, values)) <= _EXACT_TYPES["array"]:
             return False
-    return True
+        if values and (lo is not None or hi is not None):
+            lengths = set(map(len, values))
+            if (lo is not None and min(lengths) < lo) or (hi is not None and max(lengths) > hi):
+                return False
+        return items(list(chain.from_iterable(values)))
+
+    return every
+
+
+def _type(rule: Any, schema: dict) -> Check:
+    types = _types(rule)
+    return lambda v: type(v) in types
+
+
+def _pattern(rule: Any, schema: dict) -> Check:
+    search = re.compile(rule).search
+    return lambda v: not isinstance(v, str) or search(v) is not None
+
+
+def _properties(rule: Any, schema: dict) -> Check:
+    subs = [(key, _compile(sub).one) for key, sub in rule.items()]
+    return lambda v: not isinstance(v, dict) or all(check(v[k]) for k, check in subs if k in v)
+
+
+def _additional(rule: Any, schema: dict) -> Check:
+    if rule is not False:
+        return _never
+    known = frozenset(schema.get("properties", ()))
+    return lambda v: not isinstance(v, dict) or v.keys() <= known
+
+
+def _items(rule: Any, schema: dict) -> Check:
+    if type(rule) is not dict:
+        return _never
+    every = _compile(rule).every
+    return lambda v: not isinstance(v, list) or every(v)
+
+
+def _any_of(rule: Any, schema: dict) -> Check:
+    alternatives = [_compile(sub).one for sub in rule]
+    return lambda v: any(check(v) for check in alternatives)
+
+
+# Each keyword's compiler: (rule, enclosing schema) -> check of one value.
+# Like jsonschema, a keyword about one JSON type holds vacuously for values
+# of other types.
+KEYWORDS: dict[str, Callable[[Any, dict], Check]] = {
+    "type": _type,
+    "const": lambda rule, s: lambda v: type(v) is str and type(rule) is str and v == rule,
+    "enum": lambda rule, s: lambda v: type(v) is str and any(
+        type(o) is str and v == o for o in rule),
+    "pattern": _pattern,
+    "anyOf": _any_of,
+    "required": lambda rule, s: lambda v: not isinstance(v, dict) or all(k in v for k in rule),
+    "properties": _properties,
+    "additionalProperties": _additional,
+    "items": _items,
+    "minItems": lambda rule, s: lambda v: not isinstance(v, list) or len(v) >= rule,
+    "maxItems": lambda rule, s: lambda v: not isinstance(v, list) or len(v) <= rule,
+    "minProperties": lambda rule, s: lambda v: not isinstance(v, dict) or len(v) >= rule,
+    "maxProperties": lambda rule, s: lambda v: not isinstance(v, dict) or len(v) <= rule,
+}
+
+
+def _unknown(rule: Any, schema: dict) -> Check:
+    return _never
+
+
+def _compile_root(schema: dict) -> Check:
+    if schema.get("$schema", _DRAFT_07) != _DRAFT_07:
+        return _never
+    return _compile({k: r for k, r in schema.items() if k not in ("$schema", "$id")}).one
+
+
+@functools.cache
+def _input_check() -> Check:
+    """INPUT_SCHEMA compiled, on first use."""
+    return _compile_root(INPUT_SCHEMA)
 
 
 def conforms(value: Any, schema: dict = INPUT_SCHEMA) -> bool:
@@ -238,7 +329,8 @@ def conforms(value: Any, schema: dict = INPUT_SCHEMA) -> bool:
     False for any keyword outside ``KEYWORDS`` (``$schema``, draft-07 only,
     and ``$id`` are read at the root), and whenever the exact types above
     are stricter than jsonschema; a False says nothing about validity.
+    ``INPUT_SCHEMA`` is compiled once per process, any other schema on
+    each call.
     """
-    if schema.get("$schema", _DRAFT_07) != _DRAFT_07:
-        return False
-    return _conforms(value, {k: r for k, r in schema.items() if k not in ("$schema", "$id")})
+    check = _input_check() if schema is INPUT_SCHEMA else _compile_root(schema)
+    return check(value)

@@ -18,9 +18,14 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
+
+from .bareiss import Bareiss
 
 
 class DescriptorError(ValueError):
@@ -41,13 +46,19 @@ class Region(NamedTuple):
     fibers: tuple[FiberComponent, ...]
 
 
-class H2Model(NamedTuple):
+@dataclass(frozen=True)
+class H2Model:
     form: tuple[tuple[int, ...], ...]
     canonical: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.form)
+
+    @functools.cached_property
+    def elimination(self) -> Bareiss:
+        """The form's one fraction-free elimination: det Q, and Q^{-1} c for every c."""
+        return Bareiss(self.form)
 
 
 class SpinC(NamedTuple):
@@ -76,7 +87,7 @@ class FibrationDescriptor:
             raise DescriptorError("canonical class has the wrong length")
         if any((h2.canonical[j] - h2.form[j][j]) % 2 for j in range(rank)):
             raise DescriptorError("canonical class must be characteristic")
-        if _solve(h2.form, h2.canonical) is None:
+        if not h2.elimination.det:
             raise DescriptorError("intersection form must be nonsingular")
         for r, region in enumerate(regions):
             if not region.fibers:
@@ -101,24 +112,6 @@ class FibrationDescriptor:
         self.lefschetz_points = int(lefschetz_points)
         self.signature = int(signature)
         self.h2 = h2
-
-
-def _solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction] | None:
-    """Solve Q x = rhs exactly; None if Q is singular."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [a[r][j] - factor * a[col][j] for j in range(n + 1)]
-    return [a[i][n] for i in range(n)]
 
 
 def _shown(x: int | Fraction) -> str:
@@ -164,11 +157,12 @@ def is_characteristic(spinc: SpinC, h2: H2Model) -> bool:
 
 
 def c1_squared(spinc: SpinC, h2: H2Model) -> int:
-    """c_1^2 via the inverse intersection form; must come out an integer."""
-    x = _solve(h2.form, spinc.c1)
-    if x is None:
+    """c_1^2 = c_1 . Q^{-1} c_1 from the form's elimination; must come out an integer."""
+    elimination = h2.elimination
+    if not elimination.det:
         raise DescriptorError("intersection form is singular")
-    value = sum((Fraction(c) * xi for c, xi in zip(spinc.c1, x)), Fraction(0))
+    adj_c1 = elimination.adjugate_times(spinc.c1)
+    value = Fraction(sum(map(operator.mul, spinc.c1, adj_c1)), elimination.det)
     if value.denominator != 1:
         raise DescriptorError(f"c_1^2 = {_shown(value)} is not an integer in this H^2 model")
     return int(value)
@@ -184,15 +178,19 @@ def formal_dimension_core(c1_sq: int, chi: int, sigma: int) -> int:
     return num // 4
 
 
-def formal_dimension(spinc: SpinC, descriptor: FibrationDescriptor) -> int:
-    """Expected dimension of the moduli space attached to the spin-c structure."""
+def formal_dimension(
+    spinc: SpinC, descriptor: FibrationDescriptor, c1_sq: int | None = None
+) -> int:
+    """Expected dimension of the moduli space attached to the spin-c structure.
+
+    ``c1_sq`` is ``c1_squared(spinc, descriptor.h2)`` for a caller that
+    already holds it; otherwise it is computed here.
+    """
     if not is_characteristic(spinc, descriptor.h2):
         raise DescriptorError("c_1 is not characteristic for the intersection form")
-    return formal_dimension_core(
-        c1_squared(spinc, descriptor.h2),
-        euler_characteristic(descriptor),
-        descriptor.signature,
-    )
+    if c1_sq is None:
+        c1_sq = c1_squared(spinc, descriptor.h2)
+    return formal_dimension_core(c1_sq, euler_characteristic(descriptor), descriptor.signature)
 
 
 def taubes_convert(beta: Sequence[int], descriptor: FibrationDescriptor) -> SpinC:

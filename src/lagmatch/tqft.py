@@ -18,11 +18,11 @@ reports that short-circuit explicitly.
 For a fibration with no surgeries at all (twists only, with monodromy
 the product M), the evaluation collapses to coefficients of the
 characteristic polynomial of M (Macdonald's formula for Sym^n of a
-surface), and ``evaluate_cycle`` takes it from ``_char_poly``; words with a
-surgery are pushed through the folded move images.  ``alexander_fibered``
-computes the symmetrized form det(tI - M)/t^g and
-``alexander_cycle_value`` the weighted coefficient sum that the
-supertrace equals.
+surface): ``fibered_value`` reads it off the symmetrized form
+det(tI - M)/t^g that ``alexander_fibered`` computes, and words with a
+surgery are pushed through the folded move images.
+``alexander_cycle_value`` is the weighted coefficient sum of that form
+that the supertrace equals.
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     one overall sign.
 
     A word with no surgery is twists only, and tr C_k = tr Lambda^k P for
-    their integer product P, which ``_macdonald_value`` reads off the
+    their integer product P, which ``fibered_value`` reads off the
     characteristic polynomial of P.  Otherwise every e_S with |S| <=
     min(n0, 2g) is pushed through stages that are the move images' own
     constructors.  Lambda is a functor, so the twists since the last
@@ -415,7 +415,7 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
         return 0
     if not stages:
         assert pending is not None
-        return _macdonald_value(pending, cycle.n0)
+        return fibered_value(alexander_fibered(pending), cycle.n0)
     last = None if pending is None else _twist_image(pending)
     rank = 2 * cycle.fibers[0]
     total = 0
@@ -488,18 +488,6 @@ def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
     return [cs[N - m] for m in range(N + 1)]
 
 
-def _macdonald_value(monodromy: SpMatrix, n0: int) -> int:
-    """Supertrace on Sym^{n0} of a twist-only word with product P = ``monodromy``.
-
-    Macdonald's formula: with c the coefficients of det(tI - P), the value
-    sum_k (-1)^k (n0 - k + 1) tr Lambda^k P is sum_k (n0 - k + 1) c[2g - k]
-    over k <= min(n0, 2g), since c[2g - k] = (-1)^k tr Lambda^k P.
-    """
-    c = _char_poly(monodromy.rows)
-    rank = len(c) - 1
-    return sum((n0 - k + 1) * c[rank - k] for k in range(min(n0, rank) + 1))
-
-
 class AlexanderForm:
     """Symmetrized palindromic polynomial sum a_m (t^m + t^-m), m = 0..d.
 
@@ -559,6 +547,18 @@ def alexander_fibered(monodromy: SpMatrix | Sequence[Sequence[int]]) -> Alexande
             "characteristic polynomial is not palindromic: matrix is not symplectic"
         )
     return AlexanderForm([c[g + m] for m in range(g + 1)])
+
+
+def fibered_value(form: AlexanderForm, n0: int) -> int:
+    """Supertrace on Sym^{n0} of a twist-only word whose product P has ``form``.
+
+    Macdonald's formula: with c the coefficients of det(tI - P), the value
+    sum_k (-1)^k (n0 - k + 1) tr Lambda^k P is sum_k (n0 - k + 1) c[2g - k]
+    over k <= min(n0, 2g), since c[2g - k] = (-1)^k tr Lambda^k P; and
+    c[g + m] = c[g - m] = a(m), because c is monic and palindromic.
+    """
+    g = form.degree
+    return sum((n0 - k + 1) * form.a(g - k) for k in range(min(n0, 2 * g) + 1))
 
 
 def alexander_cycle_value(form: AlexanderForm, n: int, g: int) -> int:

@@ -390,6 +390,55 @@ def test_cz_integer_past_the_float_range_exits_2(capsys, nan_at, first):
     assert capsys.readouterr() == ("", f"error: cz.samples[{first}]: entries must be finite numbers\n")
 
 
+def _cz_case(case):
+    """Documents whose cz paths break several rules at once."""
+    base = _half_turn()
+    if case == "ragged after non-finite":
+        nan, ragged = json.loads(json.dumps(base)), json.loads(json.dumps(base))
+        nan[3][0][1], ragged[5][1] = "NAN", [0.0]
+        return {"paths": [nan, ragged]}
+    if case == "past the float range":
+        big = json.loads(json.dumps(base))
+        big[6][0][0] = "BIG"
+        return {"paths": [base, big]}
+    if case == "mixed shapes":
+        return {"samples": base[:10] + [[[float(i == j) for j in range(4)] for i in range(4)]] + base[11:]}
+    if case == "too few":
+        return {"samples": base[:4]}
+    if case == "too few, then ragged":
+        return {"paths": [base[:4], base[:5] + [[[1.0, 0.0], [0.0]]]]}
+    raise KeyError(case)
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("ragged after non-finite", 2, "cz.paths[1][5]: rows of different lengths"),
+    ("past the float range", 2, "cz.paths[1][6]: entries must be finite numbers"),
+    ("mixed shapes", 3, "samples must all have the same shape"),
+    ("too few", 4, "need at least 5 samples, got 4"),
+    ("too few, then ragged", 2, "cz.paths[1][5]: rows of different lengths"),
+])
+def test_cz_errors_keep_their_order(capsys, case, code, message):
+    """Ragged rows in any path come first, then each path's errors in turn."""
+    text = doc(cz=_cz_case(case)).replace('"NAN"', "NaN").replace('"BIG"', "1" + "0" * 400)
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        assert main(["cz", "--input", "-"]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("c1, message", [
+    ([1, 0], "c_1^2 = 2/3 is not an integer in this H^2 model"),
+    ([3, 0], "c_1 is not characteristic for the intersection form"),
+])
+def test_dim_reports_c1_squared_before_the_characteristic_check(capsys, c1, message):
+    fibration = {
+        "regions": [{"chi_base": 2, "fibers": [{"genus": 1, "class": [0, 0]}]}],
+        "h2": {"form": [[2, 1], [1, 2]], "canonical": [0, 0]},
+    }
+    with mock.patch("sys.stdin", io.StringIO(doc(fibration=fibration, spinc=[{"c1": c1}]))):
+        assert main(["dim", "--input", "-"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_parser_built_once_per_process(capsys):
     parser_class = cli.argparse.ArgumentParser
     cli._build_parser.cache_clear()

@@ -1,15 +1,21 @@
-"""The stdlib schema walk: whatever ``conforms`` accepts, jsonschema accepts.
+"""The stdlib schema check: whatever ``conforms`` accepts, jsonschema accepts.
 
 ``conforms`` is the CLI's fast accept; jsonschema stays the oracle and words
 every rejection.  The property tests draw mutated fixtures and hostile
 documents shaped like ``INPUT_SCHEMA`` and check the one-sided contract,
 and that the CLI's message for a rejected document is jsonschema's own.
+The compiled check answers what the interpreted walk in ``schema_walk``
+answers, on those documents, on the benchmark's documents and on small
+schemas drawn from ``KEYWORDS``.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
+import random
+import sys
 from unittest import mock
 
 import jsonschema
@@ -19,6 +25,7 @@ from hypothesis import strategies as st
 from lagmatch import cli
 from lagmatch.fixtures import FIXTURES
 from lagmatch.schema import INPUT_SCHEMA, KEYWORDS, SCHEMA_VERSION, conforms
+from schema_walk import walk_conforms
 
 VALIDATOR = jsonschema.Draft7Validator(INPUT_SCHEMA)
 PROPERTY = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -167,3 +174,91 @@ def test_rejected_documents_get_the_jsonschema_message(doc):
         code = cli.main(["dim", "--input", "-"])
     assert (code, out.getvalue()) == (2, "")
     assert errout.getvalue() == f"error: schema violation at {where}: {err.message}\n"
+
+
+# -- the compiled check against the interpreted walk -------------------------
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@PROPERTY
+@given(doc=DOCUMENTS)
+def test_compiled_check_answers_what_the_walk_answers(doc):
+    assert conforms(doc) == walk_conforms(doc)
+
+
+def _benchmark_documents(workdir):
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    for seed in (1, 2):
+        for make in (workloads.doc_batch, workloads.cycle_eval):
+            for op in make(seed, 0, str(workdir)):
+                if op.doc_path is not None:
+                    with open(op.doc_path, encoding="utf-8") as fh:
+                        yield json.load(fh)
+
+
+def _leaves(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _leaves(child, path + (key,))
+
+
+def test_compiled_check_answers_what_the_walk_answers_on_benchmark_documents(tmp_path):
+    """Every generated document and fixture, and each with one node replaced or dropped."""
+    rng = random.Random(12)
+    docs = list(_benchmark_documents(tmp_path)) + [copy.deepcopy(d) for d in FIXTURES.values()]
+    for doc in docs:
+        assert conforms(doc) and walk_conforms(doc)
+        paths = list(_leaves(doc))
+        for path in rng.sample(paths, min(len(paths), 12)):
+            mutated = copy.deepcopy(doc)
+            *parents, last = path
+            node = mutated
+            for key in parents:
+                node = node[key]
+            replacement = rng.choice([None, True, 1.5, 2, "x", "-3", [], [[]], {}, {"kind": "up"}])
+            if rng.random() < 0.2:
+                del node[last]
+            else:
+                node[last] = replacement
+            assert conforms(mutated) == walk_conforms(mutated), path
+
+
+# Small schemas built from every keyword the check reads, rules of odd
+# types included, with one keyword it does not read now and then.
+_SUB = st.deferred(lambda: SCHEMAS)
+RULES = {
+    "type": st.sampled_from(["object", "array", "string", "integer", "number", "boolean",
+                             "null", ["integer"]]),
+    "const": st.sampled_from(["a", SCHEMA_VERSION, 1]),
+    "enum": st.lists(st.sampled_from(["a", "b", 1, None]), max_size=3),
+    "pattern": st.sampled_from(["^-?[0-9]+$", "a", "^$"]),
+    "anyOf": st.lists(_SUB, min_size=1, max_size=3),
+    "required": st.lists(st.sampled_from(["a", "b"]), max_size=2),
+    "properties": st.dictionaries(st.sampled_from(["a", "b", "c"]), _SUB, max_size=2),
+    "additionalProperties": st.sampled_from([False, True, {}]),
+    "items": _SUB | st.lists(_SUB, max_size=1),
+    "minItems": st.integers(0, 2),
+    "maxItems": st.integers(0, 3),
+    "minProperties": st.integers(0, 2),
+    "maxProperties": st.integers(0, 2),
+    "minimum": st.just(0),
+}
+SCHEMAS = st.lists(st.sampled_from(sorted(RULES)), max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: RULES[k] for k in keys}))
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-2, 2) | st.sampled_from(["a", "b", "7", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["a", "b", "c"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@PROPERTY
+@given(schema=SCHEMAS, value=VALUES)
+def test_compiled_check_answers_what_the_walk_answers_on_any_schema(schema, value):
+    assert conforms(value, schema) == walk_conforms(value, schema)

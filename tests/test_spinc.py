@@ -1,10 +1,15 @@
 """Spin-c bookkeeping: dimensions, admissibility regimes, gradings."""
 
+import json
+import os
 import random
+import subprocess
 import sys
+import time
 import unittest
 from fractions import Fraction
 
+from lagmatch.bareiss import Bareiss
 from lagmatch.spinc import (
     _shown,
     DescriptorError,
@@ -343,6 +348,203 @@ class HugeIntegerMessageTest(unittest.TestCase):
     def test_admissibility_detail(self):
         report = admissibility(SpinC((self.big, 2)), torus_descriptor())
         self.assertEqual(report.regions[0].detail, "pairing 100000...000000 (4301 digits) > 0")
+
+
+# -- the one elimination against Fraction Gauss-Jordan ----------------------
+
+
+def fraction_solve(rows, rhs):
+    """Solve Q x = rhs exactly by Fraction Gauss-Jordan; None if Q is singular.
+
+    The solve ``spinc`` ran once per check and per entry before it
+    eliminated each form once; kept as the oracle.
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [a[r][j] - factor * a[col][j] for j in range(n + 1)]
+    return [a[i][n] for i in range(n)]
+
+
+def fraction_det(rows):
+    """det by Fraction Gaussian elimination: the product of the pivots, signed by the swaps."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DescriptorError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _oracle_c1_squared(c1, form):
+    x = fraction_solve(form, c1)
+    if x is None:
+        return "DescriptorError: intersection form is singular"
+    value = sum((Fraction(c) * xi for c, xi in zip(c1, x)), Fraction(0))
+    if value.denominator != 1:
+        return f"DescriptorError: c_1^2 = {_shown(value)} is not an integer in this H^2 model"
+    return int(value)
+
+
+def seeded_form(rng, rank, kind):
+    """A symmetric form: even, odd, singular, unimodular, or with any diagonal."""
+    q = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            q[i][j] = q[j][i] = rng.randint(-3, 3)
+        if kind == "even":
+            q[i][i] = 2 * rng.randint(-2, 2)
+        elif kind == "odd":
+            q[i][i] = 2 * rng.randint(-2, 2) + 1
+    if kind == "singular" and rank:
+        k = rng.randrange(rank)  # row and column k repeat row and column 0
+        for i in range(rank):
+            q[i][k] = q[i][0]
+        q[k] = list(q[0])
+    if kind == "unimodular":
+        q = [[int(i + j == rank - 1) for j in range(rank)] for i in range(rank)]
+    return tuple(map(tuple, q))
+
+
+class EliminationOracleTest(unittest.TestCase):
+    KINDS = ("even", "odd", "singular", "unimodular", "mixed")
+
+    def test_bareiss_solves_what_fraction_gauss_jordan_solves(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            n = rng.randint(0, 9)
+            a = [[rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n)]
+            elimination = Bareiss(a)
+            self.assertEqual(elimination.det, fraction_det(a), a)
+            for _ in range(3):
+                b = [rng.randint(-9, 9) for _ in range(n)]
+                x = fraction_solve(a, b)
+                self.assertEqual(x is None, elimination.det == 0, a)
+                if x is not None:
+                    adj_b = elimination.adjugate_times(b)
+                    self.assertEqual([Fraction(v, elimination.det) for v in adj_b], x, a)
+
+    def test_verdicts_values_and_messages_match_the_fraction_solve(self):
+        """Seeded forms of rank 0-12: the singularity verdict, c_1^2 and
+        every message, integral and not, characteristic and not."""
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(500):
+            rank, kind = rng.randint(0, 12), rng.choice(self.KINDS)
+            form = seeded_form(rng, rank, kind)
+            canonical = tuple(form[j][j] % 2 + 2 * rng.randint(-2, 2) for j in range(rank))
+            h2 = H2Model(form=form, canonical=canonical)
+            singular = fraction_solve(form, canonical) is None
+            desc = _outcome(FibrationDescriptor, [], (), 0, rng.randint(-3, 3), h2)
+            expected = "DescriptorError: intersection form must be nonsingular" if singular else None
+            self.assertEqual(desc if isinstance(desc, str) else None, expected, form)
+            for _ in range(4):
+                c1 = tuple(form[j][j] % 2 + 2 * rng.randint(-3, 3) + (rng.random() < 0.2)
+                           for j in range(rank))
+                sq = _oracle_c1_squared(c1, form)
+                self.assertEqual(_outcome(c1_squared, SpinC(c1), h2), sq, (form, c1))
+                seen.add(type(sq).__name__ + kind * (not isinstance(sq, int)))
+                if singular:
+                    continue
+                if not is_characteristic(SpinC(c1), h2):
+                    dim = "DescriptorError: c_1 is not characteristic for the intersection form"
+                elif isinstance(sq, str):
+                    dim = sq
+                else:
+                    dim = _outcome(formal_dimension_core, sq, euler_characteristic(desc),
+                                   desc.signature)
+                self.assertEqual(_outcome(formal_dimension, SpinC(c1), desc), dim, (form, c1))
+                if isinstance(sq, int):
+                    self.assertEqual(_outcome(formal_dimension, SpinC(c1), desc, sq), dim)
+        self.assertLessEqual({"int", "strsingular", "streven", "strodd"}, seen)
+
+
+def dense_even_form(rank, seed):
+    """A dense even form Q = P^T D P with c_1 = P^T w, and c_1^2 in closed form.
+
+    P = L U is unimodular with P e_0 = e_0, and D is the hyperbolic plane
+    followed by blocks [[2, 1], [1, 2]] of determinant 3, so
+    c_1^2 = w^T D^{-1} w = 2 w_0 w_1 + (2/3) sum of a^2 - a b + b^2 over
+    the blocks' pairs (a, b) of w, and e_0 is a fiber class of square 0.
+    """
+    rng = random.Random(seed)
+
+    def unit_triangular(lower):
+        m = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        for i in range(rank):
+            for j in range(1, i) if lower else range(i + 1, rank):
+                if rng.random() < 0.15:
+                    m[i][j] = rng.choice((-1, 1))
+        return m
+
+    def mul(a, b):
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+    p = mul(unit_triangular(True), unit_triangular(False))
+    d = [[0] * rank for _ in range(rank)]
+    d[0][1] = d[1][0] = 1
+    for k in range(2, rank, 2):
+        d[k][k] = d[k + 1][k + 1] = 2
+        d[k][k + 1] = d[k + 1][k] = 1
+    pt = [list(col) for col in zip(*p)]
+    w = [2] + [2 * rng.randint(-3, 3) for _ in range(rank - 1)]
+    c1 = [sum(x * y for x, y in zip(row, w)) for row in pt]
+    blocks = sum(a * a - a * b + b * b for a, b in zip(w[2::2], w[3::2]))
+    return mul(mul(pt, d), p), c1, 2 * w[0] * w[1] + Fraction(2 * blocks, 3)
+
+
+# The Fraction solve took 17.4 s on a rank-160 form; one elimination takes
+# about 1.5 s with interpreter start-up on a 2-core host.
+RANK_160_SECONDS = 8.0
+
+
+def test_dim_on_a_dense_even_rank_160_form_answers_in_seconds():
+    form, c1, c1_sq = dense_even_form(160, 160)
+    assert c1_sq.denominator == 3 and sum(x != 0 for row in form for x in row) > 0.9 * 160**2
+    doc = {
+        "schema": "lagmatch-input@1",
+        "fibration": {
+            "regions": [{"chi_base": 2, "fibers": [{"genus": 1, "class": [1] + [0] * 159}]}],
+            "h2": {"form": form, "canonical": c1},
+        },
+        "spinc": [{"c1": c1}],
+    }
+    env = dict(os.environ)
+    env.pop("LAGMATCH_THREADS", None)
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "lagmatch", "dim", "--input", "-"],
+                         input=json.dumps(doc), capture_output=True, text=True, env=env,
+                         timeout=120)
+    elapsed = time.perf_counter() - start
+    expected = f"error: c_1^2 = {c1_sq} is not an integer in this H^2 model\n"
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", expected)
+    assert elapsed < RANK_160_SECONDS, elapsed
 
 
 if __name__ == "__main__":
