@@ -106,6 +106,8 @@ def _as_int(value: Any, what: str) -> int:
 def _as_int_list(values: Any, what: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise _Exit(2, f"{what}: expected a list")
+    if set(map(type, values)) <= {int}:  # exact ints: nothing to convert or word
+        return tuple(values)
     return tuple(_as_int(v, f"{what}[{i}]") for i, v in enumerate(values))
 
 
@@ -121,6 +123,10 @@ def _jsonable(value: Any) -> Any:
     raise TypeError(f"unrenderable report value {value!r}")
 
 
+# Types json.loads gives that hold no float and nothing to walk into.
+_FLOATLESS_LEAVES = {int, str, bool, type(None)}
+
+
 def _reject_floats(value: Any, path: tuple[Any, ...] = ()) -> None:
     """Floats are only legal inside the cz section's sample matrices."""
     if path == ("cz",):
@@ -129,6 +135,8 @@ def _reject_floats(value: Any, path: tuple[Any, ...] = ()) -> None:
         dotted = ".".join(str(p) for p in path) or "(root)"
         raise _Exit(2, f"floating point value at {dotted}: only cz samples may be floats")
     if isinstance(value, list):
+        if set(map(type, value)) <= _FLOATLESS_LEAVES:  # a row of leaves, checked in one pass
+            return
         for i, v in enumerate(value):
             _reject_floats(v, path + (i,))
     elif isinstance(value, dict):
@@ -451,13 +459,51 @@ def _human_lines(value: Any, prefix: str, out: list[str]) -> None:
         out.append(f"{prefix}: {value}")
 
 
+_quote = json.encoder.encode_basestring_ascii
+_JSON_TYPES = {str, int, bool, type(None), list, tuple, dict}
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value: Any, pad: str = "") -> str:
+    """``json.dumps(_jsonable(value), sort_keys=True, indent=2)`` in one walk.
+
+    With an ``indent``, ``json`` encodes through its pure-Python generators;
+    this writer builds each container with one join and quotes strings in C.
+    It reads types as ``_jsonable`` does and raises its ``TypeError`` on
+    anything else.  Report keys are strings.
+    """
+    kind = type(value)
+    if kind not in _JSON_TYPES:  # a subclass, such as a NamedTuple, renders as its base
+        kind = next((t for t in (str, int, list, tuple, dict) if isinstance(value, t)), kind)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        small = -_MAX_JSON_INT <= value <= _MAX_JSON_INT
+        return int.__repr__(value) if small else _quote(str(value))
+    if kind is bool or value is None:
+        return _JSON_CONSTANTS[value]
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [f"{_quote(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        body = (",\n" + inner).join(items)
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        body = (",\n" + inner).join([_json_text(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    raise TypeError(f"unrenderable report value {value!r}")
+
+
 def _render(report: dict, as_json: bool) -> str:
     try:
+        if as_json:
+            return _json_text(report) + "\n"
         data = _jsonable(report)
     except ValueError:  # an int longer than the interpreter's int_max_str_digits
         raise _Exit(2, "result too long to print: an integer has too many digits") from None
-    if as_json:
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
     lines: list[str] = []
     _human_lines(data, "", lines)
     return "\n".join(lines) + "\n"

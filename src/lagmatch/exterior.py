@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -77,12 +78,13 @@ class SymplecticLattice:
 
 def intersection(lattice: SymplecticLattice, x: Sequence[int], y: Sequence[int]) -> int:
     """Algebraic intersection number x . y = x^T J y."""
-    return _pairing(lattice.genus, lattice.check_vector(x), lattice.check_vector(y))
+    x, y = lattice.check_vector(x), lattice.check_vector(y)
+    return sum(map(operator.mul, x, _dual(lattice.genus, y)))
 
 
-def _pairing(g: int, x: Sequence[int], y: Sequence[int]) -> int:
-    """x . y for int vectors already known to have length 2g, unchecked."""
-    return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g))
+def _dual(g: int, y: Sequence[int]) -> tuple[int, ...]:
+    """J y, so that x . y is the dot product of x with it; y has length 2g."""
+    return (*y[g:], *(-c for c in y[:g]))
 
 
 def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
@@ -372,8 +374,9 @@ class SpMatrix:
         g = self.lattice.genus
         # Check M^T J M = J column pair by column pair.
         cols = list(zip(*self.rows))
+        duals = [_dual(g, col) for col in cols]
         return all(
-            _pairing(g, cols[i], cols[j]) == int(i < g and j == i + g)
+            sum(map(operator.mul, cols[i], duals[j])) == int(i < g and j == i + g)
             for i in range(len(cols))
             for j in range(i, len(cols))
         )
@@ -393,11 +396,8 @@ class SpMatrix:
     def __matmul__(self, other: "SpMatrix") -> "SpMatrix":
         if other.lattice != self.lattice:
             raise ValueError("matrix lattices differ")
-        n = self.lattice.rank
-        rows = [
-            [sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        cols = list(zip(*other.rows))
+        rows = [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
         return SpMatrix(self.lattice, rows)
 
     def inverse(self) -> "SpMatrix":
@@ -538,44 +538,45 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def adapted_basis(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix:
-    """Integer symplectic matrix B with B . circle = a_1.
+def circle_frame(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix:
+    """Integer symplectic matrix F with F . a_1 = circle.
 
     The circle class must be primitive.  Built by symplectic Gram-Schmidt:
     repeatedly pick a dual partner by a Bezout combination, project the
-    remaining generators into the symplectic complement, and recurse.  B is
-    the inverse of the change of basis assembled from the (u_i, w_i) pairs.
+    remaining generators into the symplectic complement, and recurse.  The
+    columns of F are the (u_i, w_i) pairs, u_1 = circle, so F sends a_1 to
+    the circle by construction.
     """
     g = lattice.genus
+    n = lattice.rank
     circle = lattice.check_vector(circle)
     content = math.gcd(*circle) if any(circle) else 0
     if content != 1:
         raise ValueError("circle class must be primitive")
 
-    gens: list[tuple[int, ...]] = [lattice.basis_vector(i) for i in range(lattice.rank)]
+    gens: list[tuple[int, ...]] = [lattice.basis_vector(i) for i in range(n)]
+    duals = [_dual(g, x) for x in gens]
     u: tuple[int, ...] | None = circle
     us: list[tuple[int, ...]] = []
     ws: list[tuple[int, ...]] = []
     while u is not None and len(us) < g:
-        pairings = [_pairing(g, u, x) for x in gens]
+        pairings = [sum(map(operator.mul, u, dx)) for dx in duals]
         d, coeffs = _bezout(pairings)
         if d != 1:
             raise ValueError("internal: non-unimodular pairing with a primitive class")
-        w = tuple(sum(c * x[i] for c, x in zip(coeffs, gens)) for i in range(lattice.rank))
+        w = tuple(sum(c * x[i] for c, x in zip(coeffs, gens)) for i in range(n))
         us.append(u)
         ws.append(w)
         projected = []
-        for x in gens:
-            wx = _pairing(g, w, x)
-            ux = _pairing(g, u, x)
-            projected.append(
-                tuple(x[i] + wx * u[i] - ux * w[i] for i in range(lattice.rank))
-            )
+        for x, dx, ux in zip(gens, duals, pairings):
+            wx = sum(map(operator.mul, w, dx))
+            projected.append(tuple(xi + wx * ui - ux * wi for xi, ui, wi in zip(x, u, w)))
         gens = projected
+        duals = [_dual(g, x) for x in gens]
         u = None
         for x in gens:
             if any(x):
-                pair_gcd = math.gcd(*(_pairing(g, x, y) for y in gens))
+                pair_gcd = math.gcd(*(sum(map(operator.mul, x, dy)) for dy in duals))
                 if pair_gcd == 0:
                     continue
                 if any(c % pair_gcd for c in x):
@@ -584,11 +585,9 @@ def adapted_basis(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix
                 break
     if len(us) != g:
         raise ValueError("internal: symplectic completion fell short")
-    change = SpMatrix(
-        lattice,
-        [[(us + ws)[j][i] for j in range(lattice.rank)] for i in range(lattice.rank)],
-    )
-    adapted = change.inverse()
-    if adapted.apply(circle) != lattice.basis_vector(0):
-        raise ValueError("internal: adapted basis failed to send the circle to a_1")
-    return adapted
+    return SpMatrix(lattice, list(zip(*(us + ws))))
+
+
+def adapted_basis(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix:
+    """Integer symplectic matrix B with B . circle = a_1: the inverse of ``circle_frame``."""
+    return circle_frame(lattice, circle).inverse()

@@ -39,6 +39,7 @@ from .exterior import (
     SpMatrix,
     SymplecticLattice,
     adapted_basis,
+    circle_frame,
     ext_power_images,
 )
 # Not called here: perfbench/tracing.py wraps these two by name in this namespace.
@@ -172,7 +173,7 @@ def _up_frame(circle: Sequence[int], lattice: SymplecticLattice) -> SpMatrix | N
     """The inverse frame of an up circle on the target, or None if separating."""
     target = SymplecticLattice(lattice.genus + 1)
     circle = target.check_vector(circle)
-    return adapted_basis(target, circle).inverse() if any(circle) else None
+    return circle_frame(target, circle) if any(circle) else None
 
 
 def _down_image(circle: Sequence[int], lattice: SymplecticLattice) -> Image:

@@ -1,5 +1,7 @@
 """End-to-end command line checks: reports, exit codes, determinism."""
 
+import collections
+import enum
 import io
 import json
 import math
@@ -8,10 +10,13 @@ import subprocess
 import sys
 import time
 import warnings
+from typing import Any, NamedTuple
 from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagmatch import cli
 from lagmatch.cli import _jsonable, main
@@ -576,3 +581,120 @@ def test_huge_descriptor_integers_keep_the_module_message(tmp_path, capsys, sect
     assert main(["dim", "--input", str(path)]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# -- the one-pass JSON writer against the stdlib encoder ---------------------
+
+
+def _stdlib_json(report):
+    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+
+
+class _Pair(NamedTuple):
+    first: Any
+    second: Any
+
+
+class _Name(str):
+    pass
+
+
+class _Kind(enum.IntEnum):
+    ONE = 1
+    BIG = 2**53 + 1
+
+
+_EDGE_INTS = [2**53 - 1, 2**53, 2**53 + 1, -(2**53 - 1), -(2**53), -(2**53 + 1), 0, -1]
+_EDGE_TEXT = ["", '"', "\\", "\x00", "\x1f", "\n\t", "\x7f", "é", "\u2028", "\U0001f600", 'a"b\\c']
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.sampled_from(_EDGE_INTS)
+           | st.text(max_size=6) | st.sampled_from(_EDGE_TEXT)
+           | st.builds(_Name, st.text(max_size=3)) | st.sampled_from(list(_Kind)))
+_KEYS = st.text(max_size=4) | st.sampled_from(_EDGE_TEXT)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.builds(_Pair, inner, inner) | st.dictionaries(_KEYS, inner, max_size=4)
+                   | st.dictionaries(_KEYS, inner, max_size=3).map(collections.OrderedDict)),
+    max_leaves=40,
+)
+
+
+# 300 examples of up to 40 leaves each take a few seconds.
+@settings(max_examples=300, deadline=None)
+@given(report=st.dictionaries(_KEYS, _VALUES, max_size=5))
+def test_json_writer_matches_the_stdlib_encoder(report):
+    assert cli._render(report, True) == _stdlib_json(report)
+
+
+def test_json_writer_matches_on_every_report(capsys):
+    """Every fixture through every subcommand, and both examples."""
+    reports = []
+    render = cli._render
+
+    def keep(report, as_json):
+        reports.append(report)
+        return render(report, as_json)
+
+    runs = [[command, "--input", f"fixture:{name}", "--json"]
+            for name in sorted(FIXTURES) for command in ("dim", "tqft-eval", "cz", "gradings")]
+    runs += [["example", name, "--m", "3", "--n", "2", "--json"] for name in ("s2xs2", "s1s3-sum")]
+    with mock.patch.object(cli, "_render", keep):
+        for argv in runs:
+            before = len(reports)
+            if main(argv) == 0:
+                assert capsys.readouterr().out == _stdlib_json(reports[before]), argv
+    capsys.readouterr()
+    assert {r["command"] for r in reports} == {"dim", "tqft-eval", "cz", "gradings", "example"}
+
+
+def test_json_writer_refuses_what_jsonable_refuses():
+    for bad in ({"a": [1, 2.5]}, {"b": {"c": {1, 2}}}, {"d": (object,)}):
+        with pytest.raises(TypeError) as from_jsonable:
+            _jsonable(bad)
+        with pytest.raises(TypeError) as from_writer:
+            cli._render(bad, True)
+        assert str(from_writer.value) == str(from_jsonable.value)
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_integer_too_long_to_print_exits_2(as_json):
+    with pytest.raises(cli._Exit) as err:
+        cli._render({"value": [1, 10**5000]}, as_json)
+    assert (err.value.code, err.value.message) == (
+        2, "result too long to print: an integer has too many digits")
+
+
+# -- the float walk names the first float by its dotted path -----------------
+
+
+def _with_float(name, edit):
+    fixture = json.loads(json.dumps(FIXTURES[name]))
+    edit(fixture)
+    return fixture
+
+
+@pytest.mark.parametrize("command, document, where", [
+    pytest.param("tqft-eval", _with_float(
+        "anosov-cycle", lambda d: d["morse_cycle"]["moves"][0]["matrix"].__setitem__(1, [1, 2.0])),
+        "morse_cycle.moves.0.matrix.1.1", id="twist-matrix-row"),
+    pytest.param("dim", _with_float(
+        "s2xs2-product", lambda d: d["fibration"]["h2"]["form"].__setitem__(1, [1, 2.0])),
+        "fibration.h2.form.1.1", id="h2-form"),
+    pytest.param("dim", _with_float(
+        "s2xs2-product", lambda d: d.__setitem__("spinc", [{"beta": [1, 1]}] * 3 + [{"beta": [1, 2.0]}])),
+        "spinc.3.beta.1", id="spinc-beta"),
+])
+def test_float_walk_messages(tmp_path, capsys, command, document, where):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: floating point value at {where}: only cz samples may be floats\n")
+
+
+def test_float_walk_descends_into_nested_lists():
+    with pytest.raises(cli._Exit) as err:
+        cli._reject_floats({"a": [[1, "2"], [1, [2, None, 2.0]]], "b": 3.0})
+    assert err.value.message == "floating point value at a.1.1.2: only cz samples may be floats"
+    cli._reject_floats({"a": [[1, "2", True, None], []], "cz": {"samples": [[[0.5]]]}})

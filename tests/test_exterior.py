@@ -12,7 +12,9 @@ from lagmatch.exterior import (
     LatticeProjection,
     SpMatrix,
     SymplecticLattice,
+    _bezout,
     adapted_basis,
+    circle_frame,
     contract,
     ext_power_action,
     ext_power_images,
@@ -21,6 +23,7 @@ from lagmatch.exterior import (
     transvection,
     wedge,
 )
+from lagmatch.tqft import _down_frame, _up_frame
 
 
 def random_element(rng, lattice, max_terms=4, degree=None):
@@ -352,6 +355,50 @@ def test_adapted_basis_rejects_imprimitive():
         adapted_basis(lat, (2, 0))
     with pytest.raises(ValueError):
         adapted_basis(lat, (0, 0))
+
+
+def _oracle_adapted_basis(lattice, circle):
+    """The frame as first written: Gram-Schmidt on copied vectors, then inverted."""
+    g = lattice.genus
+    rank = lattice.rank
+
+    def pairing(x, y):
+        return sum(x[i] * y[g + i] - x[g + i] * y[i] for i in range(g))
+
+    gens = [lattice.basis_vector(i) for i in range(rank)]
+    u = tuple(circle)
+    us, ws = [], []
+    while u is not None and len(us) < g:
+        d, coeffs = _bezout([pairing(u, x) for x in gens])
+        assert d == 1
+        w = tuple(sum(c * x[i] for c, x in zip(coeffs, gens)) for i in range(rank))
+        us.append(u)
+        ws.append(w)
+        gens = [tuple(x[i] + pairing(w, x) * u[i] - pairing(u, x) * w[i] for i in range(rank))
+                for x in gens]
+        u = None
+        for x in gens:
+            if any(x):
+                pair_gcd = math.gcd(*(pairing(x, y) for y in gens))
+                if pair_gcd:
+                    u = tuple(c // pair_gcd for c in x)
+                    break
+    change = SpMatrix(lattice, [[(us + ws)[j][i] for j in range(rank)] for i in range(rank)])
+    return change.inverse()
+
+
+def test_frames_match_the_first_construction():
+    """circle_frame is the inverse of the adapted basis, for down and up frames alike."""
+    rng = random.Random(23)
+    for _ in range(150):
+        g = rng.randint(1, 6)
+        lat = SymplecticLattice(g)
+        circle = random_primitive(rng, lat.rank, spread=rng.choice((1, 2, 3)))
+        oracle = _oracle_adapted_basis(lat, circle)
+        assert adapted_basis(lat, circle).rows == oracle.rows
+        assert _down_frame(circle, lat).rows == oracle.rows
+        assert _up_frame(circle, SymplecticLattice(g - 1)).rows == oracle.inverse().rows
+        assert circle_frame(lat, circle).column(0) == circle
 
 
 def test_integer_kernel_matches_ext_power_action():
