@@ -64,7 +64,7 @@ class SymplecticLattice:
     def check_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.rank:
             raise ValueError(f"vector has length {len(v)}, lattice rank is {self.rank}")
-        return tuple(int(c) for c in v)
+        return tuple(map(operator.index, v))
 
     def intersection_form(self) -> list[list[int]]:
         """The matrix J itself, as dense rows."""
@@ -84,7 +84,7 @@ def intersection(lattice: SymplecticLattice, x: Sequence[int], y: Sequence[int])
 
 def _dual(g: int, y: Sequence[int]) -> tuple[int, ...]:
     """J y, so that x . y is the dot product of x with it; y has length 2g."""
-    return (*y[g:], *(-c for c in y[:g]))
+    return (*y[g:], *map(operator.neg, y[:g]))
 
 
 def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
@@ -362,7 +362,7 @@ class SpMatrix:
 
     def __init__(self, lattice: SymplecticLattice, rows: Sequence[Sequence[int]]):
         n = lattice.rank
-        rows = tuple(tuple(int(c) for c in row) for row in rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"matrix must be {n}x{n}")
         self.lattice = lattice
@@ -401,22 +401,16 @@ class SpMatrix:
         return SpMatrix(self.lattice, rows)
 
     def inverse(self) -> "SpMatrix":
-        """Symplectic inverse M^{-1} = -J M^T J, integer by construction."""
+        """Symplectic inverse M^{-1} = -J M^T J, integer by construction.
+
+        For M = [[A, B], [C, D]] in g x g blocks this is [[D^T, -B^T],
+        [-C^T, A^T]]: row i < g is J applied to column g + i of M, and row
+        g + i is -J applied to column i.
+        """
         g = self.lattice.genus
-        n = self.lattice.rank
-
-        # Row i of J has a single nonzero entry: (J)_{i, g+i} = 1 for i < g
-        # and (J)_{i, i-g} = -1 for i >= g.
-        def J_row(i: int) -> tuple[int, int]:
-            return (g + i, 1) if i < g else (i - g, -1)
-
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            k, si = J_row(i)
-            for j in range(n):
-                # J_{lj} = -J_{jl} by antisymmetry, absorbing the leading minus.
-                l, sj = J_row(j)
-                rows[i][j] = si * sj * self.rows[l][k]
+        cols = list(zip(*self.rows))
+        rows = [_dual(g, col) for col in cols[g:]]
+        rows += [tuple(-x for x in _dual(g, col)) for col in cols[:g]]
         return SpMatrix(self.lattice, rows)
 
     def __eq__(self, other: object) -> bool:
@@ -554,29 +548,31 @@ def circle_frame(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix:
     if content != 1:
         raise ValueError("circle class must be primitive")
 
+    # u . x = -(x . u) = -x . Ju, so one dual of u (and of w) serves every x.
     gens: list[tuple[int, ...]] = [lattice.basis_vector(i) for i in range(n)]
-    duals = [_dual(g, x) for x in gens]
     u: tuple[int, ...] | None = circle
     us: list[tuple[int, ...]] = []
     ws: list[tuple[int, ...]] = []
     while u is not None and len(us) < g:
-        pairings = [sum(map(operator.mul, u, dx)) for dx in duals]
+        du = _dual(g, u)
+        pairings = [-sum(map(operator.mul, x, du)) for x in gens]
         d, coeffs = _bezout(pairings)
         if d != 1:
             raise ValueError("internal: non-unimodular pairing with a primitive class")
-        w = tuple(sum(c * x[i] for c, x in zip(coeffs, gens)) for i in range(n))
+        w = tuple(sum(map(operator.mul, coeffs, column)) for column in zip(*gens))
         us.append(u)
         ws.append(w)
+        dw = _dual(g, w)
         projected = []
-        for x, dx, ux in zip(gens, duals, pairings):
-            wx = sum(map(operator.mul, w, dx))
+        for x, ux in zip(gens, pairings):
+            wx = -sum(map(operator.mul, x, dw))
             projected.append(tuple(xi + wx * ui - ux * wi for xi, ui, wi in zip(x, u, w)))
         gens = projected
-        duals = [_dual(g, x) for x in gens]
         u = None
         for x in gens:
             if any(x):
-                pair_gcd = math.gcd(*(sum(map(operator.mul, x, dy)) for dy in duals))
+                dx = _dual(g, x)
+                pair_gcd = math.gcd(*(sum(map(operator.mul, y, dx)) for y in gens))
                 if pair_gcd == 0:
                     continue
                 if any(c % pair_gcd for c in x):

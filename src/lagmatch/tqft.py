@@ -244,7 +244,7 @@ class ElementaryMove:
             if circle is None or matrix is not None:
                 raise ValueError(f"{kind} moves carry a circle and no matrix")
         self.kind = kind
-        self.circle = tuple(int(c) for c in circle) if circle is not None else None
+        self.circle = tuple(map(operator.index, circle)) if circle is not None else None
         self.matrix = matrix
 
     @property
@@ -282,7 +282,8 @@ class MorseCycle:
     __slots__ = ("fibers", "moves", "n0")
 
     def __init__(self, fibers: Sequence[int], moves: Sequence[ElementaryMove], n0: int):
-        fibers = tuple(int(g) for g in fibers)
+        fibers = tuple(map(operator.index, fibers))
+        n0 = operator.index(n0)
         moves = tuple(moves)
         if not fibers or len(fibers) != len(moves):
             raise NonClosingCycle("need one move per fiber, cyclically")
@@ -312,7 +313,7 @@ class MorseCycle:
                 raise NonClosingCycle(f"symmetric degree over fiber {j} would be {nu}")
         self.fibers = fibers
         self.moves = moves
-        self.n0 = int(n0)
+        self.n0 = n0
 
     def nu(self, j: int) -> int:
         return self.n0 + self.fibers[j] - self.fibers[0]
@@ -467,26 +468,46 @@ def connected_sum_invariant(cycle: MorseCycle) -> ConnectedSumReport:
 # -- the fibered (no-surgery) case ------------------------------------
 
 
-def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Coefficients c[0..N] of det(tI - A) = sum c[k] t^k (Faddeev-LeVerrier).
+def _char_poly(matrix: SpMatrix | Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients c[0..N] of det(tI - A) = sum c[k] t^k, from power traces.
 
-    For an integer matrix every division by k is exact.
+    With e_k the k-th elementary symmetric function of the eigenvalues,
+    c[N - k] = (-1)^k e_k, and Newton's identities give e_k from the power
+    traces p_i = tr A^i: k e_k = sum_{i <= k} (-1)^(i-1) e_(k-i) p_i.  For
+    p_1..p_K only A, ..., A^h with h = ceil(K/2) are formed, since
+    tr A^(a+b) = sum_ij (A^a)_ij (A^b)_ji.  Raw rows take K = N.  An
+    ``SpMatrix`` was checked symplectic when it was built, so its polynomial
+    is palindromic: K = N/2, and c[k] = c[N - k] gives the rest.  For an
+    integer matrix every division by k is exact.
     """
+    symplectic = isinstance(matrix, SpMatrix)
+    rows = matrix.rows if symplectic else matrix
     N = len(rows)
     if any(len(row) != N for row in rows):
         raise ValueError("matrix must be square")
-    B = [[int(i == j) for j in range(N)] for i in range(N)]
-    cs = [1]
-    for k in range(1, N + 1):
-        cols = list(zip(*B))
-        AB = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
-        trace = sum(AB[i][i] for i in range(N))
-        if trace % k:
+    K = N // 2 if symplectic else N
+    h = (K + 1) // 2
+    cols = list(zip(*rows))
+    powers = [rows]  # powers[a - 1] = A^a
+    while len(powers) < h:
+        powers.append([[sum(map(operator.mul, row, col)) for col in cols] for row in powers[-1]])
+    traces = [0] + [sum(row[i] for i, row in enumerate(power)) for power in powers]
+    top = list(itertools.chain.from_iterable(powers[-1]))
+    for b in range(1, K - h + 1):
+        flipped = itertools.chain.from_iterable(zip(*powers[b - 1]))
+        traces.append(sum(map(operator.mul, top, flipped)))  # tr A^h A^b
+    e = [1]
+    for k in range(1, K + 1):
+        total = sum(e[k - i] * traces[i] if i & 1 else -e[k - i] * traces[i] for i in range(1, k + 1))
+        if total % k:
             raise AssertionError("characteristic polynomial of an integer matrix must be integral")
-        ck = -(trace // k)
-        cs.append(ck)
-        B = [[x + ck if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AB)]
-    return [cs[N - m] for m in range(N + 1)]
+        e.append(total // k)
+    c = [0] * (N + 1)
+    for k, ek in enumerate(e):
+        c[N - k] = -ek if k & 1 else ek
+    for k in range(N - K):
+        c[k] = c[N - k]
+    return c
 
 
 class AlexanderForm:
@@ -530,19 +551,19 @@ class AlexanderForm:
 def alexander_fibered(monodromy: SpMatrix | Sequence[Sequence[int]]) -> AlexanderForm:
     """Alexander form det(tI - M) / t^g of a fibered mapping torus.
 
-    Accepts a symplectic matrix (or raw integer rows, checked through the
-    palindrome test that symplecticity forces on the characteristic
-    polynomial).
+    The coefficients come from the power traces of M and Newton's
+    identities (``_char_poly``).  Accepts a symplectic matrix, whose
+    polynomial is palindromic and so needs only g power traces, or raw
+    integer rows, which get all 2g and are checked through the palindrome
+    test that symplecticity forces on the characteristic polynomial.
     """
-    if isinstance(monodromy, SpMatrix):
-        rows = monodromy.rows
-    else:
-        rows = tuple(tuple(int(x) for x in row) for row in monodromy)
-    N = len(rows)
-    if N % 2:
-        raise ValueError("monodromy must act on an even-rank lattice")
+    if not isinstance(monodromy, SpMatrix):
+        monodromy = tuple(tuple(map(operator.index, row)) for row in monodromy)
+        if len(monodromy) % 2:
+            raise ValueError("monodromy must act on an even-rank lattice")
+    c = _char_poly(monodromy)
+    N = len(c) - 1
     g = N // 2
-    c = _char_poly(rows)
     if any(c[k] != c[N - k] for k in range(N + 1)):
         raise ValueError(
             "characteristic polynomial is not palindromic: matrix is not symplectic"

@@ -391,9 +391,9 @@ def test_frames_match_the_first_construction():
     """circle_frame is the inverse of the adapted basis, for down and up frames alike."""
     rng = random.Random(23)
     for _ in range(150):
-        g = rng.randint(1, 6)
+        g = rng.randint(1, 8)
         lat = SymplecticLattice(g)
-        circle = random_primitive(rng, lat.rank, spread=rng.choice((1, 2, 3)))
+        circle = random_primitive(rng, lat.rank, spread=rng.choice((1, 2, 3, 5, 7)))
         oracle = _oracle_adapted_basis(lat, circle)
         assert adapted_basis(lat, circle).rows == oracle.rows
         assert _down_frame(circle, lat).rows == oracle.rows

@@ -1,8 +1,13 @@
 """Elementary-move maps, cycle evaluation, and the fibered cross-check."""
 
 import itertools
+import json
 import math
+import operator
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -22,6 +27,7 @@ from lagmatch.exterior import (
 )
 from lagmatch.symprod import SymClass, basis, cap_U_classical, cap_ext, monomial_degree
 from lagmatch.tqft import (
+    _char_poly,
     _down_image,
     _twist_image,
     _up_image,
@@ -604,3 +610,114 @@ def test_dense_genus_six_twist_answers_quickly():
     value = evaluate_cycle(cycle)
     assert time.perf_counter() - start < 0.05
     assert value == alexander_cycle_value(alexander_fibered(matrix), 12, 6)
+
+
+# -- characteristic polynomials: power traces against Faddeev-LeVerrier ----
+
+
+def _oracle_char_poly(rows):
+    """Coefficients c[0..N] of det(tI - A) by Faddeev-LeVerrier, as first written."""
+    N = len(rows)
+    B = [[int(i == j) for j in range(N)] for i in range(N)]
+    cs = [1]
+    for k in range(1, N + 1):
+        cols = list(zip(*B))
+        AB = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+        trace = sum(AB[i][i] for i in range(N))
+        assert trace % k == 0
+        ck = -(trace // k)
+        cs.append(ck)
+        B = [[x + ck if i == j else x for j, x in enumerate(row)] for i, row in enumerate(AB)]
+    return [cs[N - m] for m in range(N + 1)]
+
+
+def _macdonald(rows, n0):
+    """sum_k (n0 - k + 1) c[2g - k] over k <= min(n0, 2g), c from the oracle."""
+    c = _oracle_char_poly(rows)
+    N = len(rows)
+    return sum((n0 - k + 1) * c[N - k] for k in range(min(n0, N) + 1))
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    """The symplectic half path and the full path on raw rows agree with the
+    old algorithm on seeded products; the full path also on any integer matrix."""
+    rng = random.Random(71)
+    for N in range(0, 17, 2):
+        lat = SymplecticLattice(N // 2)
+        for _ in range(6):
+            m = random_sp(rng, lat, length=rng.randint(1, 12))
+            oracle = _oracle_char_poly(m.rows)
+            assert _char_poly(m) == oracle, (N, m.rows)
+            assert _char_poly(m.rows) == oracle, (N, m.rows)
+        for _ in range(6):
+            rows = [[rng.randint(-9, 9) for _ in range(N)] for _ in range(N)]
+            assert _char_poly(rows) == _oracle_char_poly(rows), (N, rows)
+
+
+def test_non_symplectic_rows_are_not_palindromic():
+    rng = random.Random(72)
+    with pytest.raises(ValueError, match="not palindromic: matrix is not symplectic"):
+        alexander_fibered([[1, 1], [0, 2]])
+    for N in (2, 4, 6):
+        rows = [[rng.randint(-3, 3) for _ in range(N)] for _ in range(N)]
+        c = _oracle_char_poly(rows)
+        assert c != c[::-1]
+        with pytest.raises(ValueError, match="not palindromic: matrix is not symplectic"):
+            alexander_fibered(rows)
+
+
+def test_float_entries_are_rejected_not_truncated():
+    import numpy as np
+
+    lat = SymplecticLattice(1)
+    with pytest.raises(TypeError):
+        SpMatrix(lat, [[1.9, 0], [0, 1.2]])
+    with pytest.raises(TypeError):
+        lat.check_vector((1.7, 0))
+    with pytest.raises(TypeError):
+        ElementaryMove.down((1.0, 0))
+    with pytest.raises(TypeError):
+        MorseCycle([1.0], [ElementaryMove.twist(SpMatrix.identity(lat))], 1)
+    with pytest.raises(TypeError):
+        MorseCycle([1], [ElementaryMove.twist(SpMatrix.identity(lat))], 1.0)
+    with pytest.raises(TypeError):
+        alexander_fibered([[2.0, 1], [1, 1]])
+    # bools and numpy integers are integers
+    assert SpMatrix(lat, [[True, False], [np.int64(0), 1]]).rows == ((1, 0), (0, 1))
+    assert lat.check_vector((np.int32(1), False)) == (1, 0)
+    assert ElementaryMove.up((np.int64(0), 1)).circle == (0, 1)
+    assert alexander_fibered([[np.int64(2), 1], [1, 1]]).coeffs == (-3, 1)
+
+
+def test_tqft_eval_dense_genus_eight_two_twists_stays_bounded():
+    """The top of the genus grid: two dense genus-8 twists at n0 = 16, in a
+    child under a 1 GiB address-space limit."""
+    import resource
+
+    limit = 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    rng = random.Random(73)
+    lat = SymplecticLattice(8)
+    first, second = random_sp(rng, lat, length=12), random_sp(rng, lat, length=12)
+    assert all(sum(1 for row in m.rows for x in row if x) > 150 for m in (first, second))
+    cycle = {
+        "n0": 16,
+        "fibers": [8, 8],
+        "moves": [{"kind": "twist", "matrix": [list(row) for row in m.rows]} for m in (first, second)],
+    }
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("LAGMATCH_THREADS", None)
+    out = subprocess.run(
+        [sys.executable, "-m", "lagmatch", "tqft-eval", "--input", "-", "--json"],
+        input=json.dumps({"schema": "lagmatch-input@1", "morse_cycle": cycle}),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(json.loads(out.stdout)["value"]) == _macdonald((second @ first).rows, 16)
