@@ -240,11 +240,15 @@ def _parse_cycle(raw: dict) -> MorseCycle:
         if kind == "twist":
             if "matrix" not in move:
                 raise _Exit(2, f"move {j}: twist moves need a matrix")
+            if "circle" in move:
+                raise _Exit(2, f"move {j}: twist moves carry no circle")
             rows = [_as_int_list(row, f"move {j} matrix row") for row in move["matrix"]]
             moves.append(ElementaryMove.twist(SpMatrix(SymplecticLattice(fibers[j]), rows)))
         else:
             if "circle" not in move:
                 raise _Exit(2, f"move {j}: {kind} moves need a circle")
+            if "matrix" in move:
+                raise _Exit(2, f"move {j}: {kind} moves carry no matrix")
             circle = _as_int_list(move["circle"], f"move {j} circle")
             moves.append(ElementaryMove(kind, circle=circle))
     return MorseCycle(fibers=fibers, moves=moves, n0=_as_int(raw["n0"], "morse_cycle.n0"))

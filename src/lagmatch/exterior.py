@@ -371,15 +371,17 @@ class SpMatrix:
             raise ValueError("matrix does not preserve the symplectic form")
 
     def _is_symplectic(self) -> bool:
+        """M^T J M = J: column i pairs with columns i..n-1 as row i of J says."""
         g = self.lattice.genus
-        # Check M^T J M = J column pair by column pair.
         cols = list(zip(*self.rows))
         duals = [_dual(g, col) for col in cols]
-        return all(
-            sum(map(operator.mul, cols[i], duals[j])) == int(i < g and j == i + g)
-            for i in range(len(cols))
-            for j in range(i, len(cols))
-        )
+        for i, col in enumerate(cols):
+            expected = [0] * (len(cols) - i)
+            if i < g:
+                expected[g] = 1
+            if [sum(map(operator.mul, col, dual)) for dual in duals[i:]] != expected:
+                return False
+        return True
 
     @classmethod
     def identity(cls, lattice: SymplecticLattice) -> "SpMatrix":
@@ -447,17 +449,21 @@ def ext_power_action(matrix: SpMatrix, x: ExtElement) -> ExtElement:
 
 def ext_power_images(
     rows: Sequence[Sequence[int]],
+    width: int | None = None,
 ) -> Callable[[tuple[int, ...]], dict[tuple[int, ...], int]]:
     """The action S -> Lambda(M) e_S of an integer matrix on basis monomials.
 
-    The image of e_{s_1} ^ ... ^ e_{s_k} is the image of its first k - 1
+    M need not be square: ``width`` is its number of columns, len(rows) by
+    default, so with no rows Lambda(M) is 1 in degree 0 and 0 above.  The
+    image of e_{s_1} ^ ... ^ e_{s_k} is the image of its first k - 1
     factors wedged with column s_k of M; e_i moves into place past the
     indices of each term above i, which gives the Koszul sign.  Images are
     memoized per prefix in a dict that only the returned function holds,
     and it holds no reference to itself, so dropping it frees the memo at
     once.  The returned dicts are shared and must not be mutated.
     """
-    columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(len(rows))]
+    width = len(rows) if width is None else width
+    columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(width)]
     memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
 
     def image(subset: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -532,58 +538,87 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def primitive_class(lattice: SymplecticLattice, circle: Sequence[int]) -> tuple[int, ...]:
+    """The circle as a lattice vector, which must be primitive (content 1)."""
+    circle = lattice.check_vector(circle)
+    if math.gcd(*circle) != 1:
+        raise ValueError("circle class must be primitive")
+    return circle
+
+
+def _symplectic_pairs(
+    lattice: SymplecticLattice, circle: Sequence[int]
+) -> tuple[list, list, list, list]:
+    """Pairs u_i . w_i = 1 with u_1 = circle, and their duals: lists us, ws, J us, J ws.
+
+    Integer symplectic Gram-Schmidt in closed form.  The projection onto the
+    complement of the pairs found so far is
+
+        P(x) = x - sum_j (x . w_j) u_j + sum_j (x . u_j) w_j,
+
+    and for u in that complement u . P(e_i) = u . e_i = -(J u)_i.  So each
+    round takes the Bezout partner coefficients of -J u, w = P(coefficients),
+    and as the next u the first nonzero P(e_i) over its content, which is
+    the gcd of its pairings with the complement.  The pairings come from
+    the duals: x . w_j is x dotted with J w_j.  An e_i that projected to
+    0, or gave u, lies in the span of the pairs from then on, so each scan
+    resumes after the index the last one took.
+    """
+    g, n = lattice.genus, lattice.rank
+    u = primitive_class(lattice, circle)
+    us: list[tuple[int, ...]] = []
+    ws: list[tuple[int, ...]] = []
+    dus: list[tuple[int, ...]] = []
+    dws: list[tuple[int, ...]] = []
+    start = 0
+    while True:
+        du = _dual(g, u)
+        d, coeffs = _bezout(list(map(operator.neg, du)))
+        if d != 1:
+            raise ValueError("internal: non-unimodular pairing with a primitive class")
+        if us:
+            along = [-sum(map(operator.mul, coeffs, dw)) for dw in dws]
+            along += [sum(map(operator.mul, coeffs, dv)) for dv in dus]
+            w = tuple(c + sum(map(operator.mul, along, col)) for c, col in zip(coeffs, cols))
+        else:
+            w = tuple(coeffs)
+        us.append(u)
+        ws.append(w)
+        dus.append(du)
+        dws.append(_dual(g, w))
+        if len(us) == g:
+            return us, ws, dus, dws
+        cols = list(zip(*us, *ws))  # entry k of every u_j, then of every w_j
+        for i in range(start, n):
+            along = [-dw[i] for dw in dws] + [dv[i] for dv in dus]
+            x = [sum(map(operator.mul, along, col)) for col in cols]
+            x[i] += 1  # x = P(e_i)
+            content = math.gcd(*x)
+            if content:
+                u = tuple(c // content for c in x)
+                start = i + 1
+                break
+        else:
+            raise ValueError("internal: symplectic completion fell short")
+
+
 def circle_frame(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix:
     """Integer symplectic matrix F with F . a_1 = circle.
 
-    The circle class must be primitive.  Built by symplectic Gram-Schmidt:
-    repeatedly pick a dual partner by a Bezout combination, project the
-    remaining generators into the symplectic complement, and recurse.  The
-    columns of F are the (u_i, w_i) pairs, u_1 = circle, so F sends a_1 to
-    the circle by construction.
+    The circle class must be primitive.  The columns of F are the pairs
+    u_1, ..., u_g, w_1, ..., w_g of ``_symplectic_pairs``, u_1 = circle, so
+    F sends a_1 to the circle by construction.
     """
-    g = lattice.genus
-    n = lattice.rank
-    circle = lattice.check_vector(circle)
-    content = math.gcd(*circle) if any(circle) else 0
-    if content != 1:
-        raise ValueError("circle class must be primitive")
-
-    # u . x = -(x . u) = -x . Ju, so one dual of u (and of w) serves every x.
-    gens: list[tuple[int, ...]] = [lattice.basis_vector(i) for i in range(n)]
-    u: tuple[int, ...] | None = circle
-    us: list[tuple[int, ...]] = []
-    ws: list[tuple[int, ...]] = []
-    while u is not None and len(us) < g:
-        du = _dual(g, u)
-        pairings = [-sum(map(operator.mul, x, du)) for x in gens]
-        d, coeffs = _bezout(pairings)
-        if d != 1:
-            raise ValueError("internal: non-unimodular pairing with a primitive class")
-        w = tuple(sum(map(operator.mul, coeffs, column)) for column in zip(*gens))
-        us.append(u)
-        ws.append(w)
-        dw = _dual(g, w)
-        projected = []
-        for x, ux in zip(gens, pairings):
-            wx = -sum(map(operator.mul, x, dw))
-            projected.append(tuple(xi + wx * ui - ux * wi for xi, ui, wi in zip(x, u, w)))
-        gens = projected
-        u = None
-        for x in gens:
-            if any(x):
-                dx = _dual(g, x)
-                pair_gcd = math.gcd(*(sum(map(operator.mul, y, dx)) for y in gens))
-                if pair_gcd == 0:
-                    continue
-                if any(c % pair_gcd for c in x):
-                    raise ValueError("internal: complement generator not divisible")
-                u = tuple(c // pair_gcd for c in x)
-                break
-    if len(us) != g:
-        raise ValueError("internal: symplectic completion fell short")
+    us, ws, _, _ = _symplectic_pairs(lattice, circle)
     return SpMatrix(lattice, list(zip(*(us + ws))))
 
 
 def adapted_basis(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix:
-    """Integer symplectic matrix B with B . circle = a_1: the inverse of ``circle_frame``."""
-    return circle_frame(lattice, circle).inverse()
+    """Integer symplectic matrix B with B . circle = a_1: the inverse of ``circle_frame``.
+
+    B = F^{-1} = -J F^T J has rows J w_1, ..., J w_g, -J u_1, ..., -J u_g,
+    read off the duals of the pairs.  B is symplectic exactly when F is,
+    and its constructor checks it.
+    """
+    _, _, dus, dws = _symplectic_pairs(lattice, circle)
+    return SpMatrix(lattice, dws + [tuple(map(operator.neg, du)) for du in dus])

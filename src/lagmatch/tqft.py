@@ -27,7 +27,6 @@ that the supertrace equals.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -41,6 +40,7 @@ from .exterior import (
     adapted_basis,
     circle_frame,
     ext_power_images,
+    primitive_class,
 )
 # Not called here: perfbench/tracing.py wraps these two by name in this namespace.
 from .exterior import contract, ext_power_action  # noqa: F401
@@ -135,22 +135,26 @@ def _contract_a1(frame: SpMatrix, lattice: SymplecticLattice) -> Image:
     """e_S -> the contraction with a_1 of frame e_S, genus g -> g-1.
 
     Only b_1 pairs with a_1 (b_1 . a_1 = -1), and the first pair is then
-    killed, so just the terms with b_1 and without a_1 survive, relabelled.
+    killed, so expanding Lambda(frame) e_S along row b_1 gives
+
+        e_S -> -sum_p (-1)^p frame[b_1][s_p] Lambda(R) e_{S - s_p},
+
+    with p the position of s_p in S from 0, and R the rows of the frame
+    other than a_1 and b_1, in order, which relabels them to genus g-1.
     """
-    power = ext_power_images(frame.rows)
-    kill = LatticeProjection.kill_first_pair(lattice)
-    b1 = lattice.genus
+    g = lattice.genus
+    b1 = frame.rows[g]
+    rest = ext_power_images(frame.rows[1:g] + frame.rows[g + 1:], 2 * g)
 
     @functools.cache
     def image(s: Subset) -> dict[Subset, int]:
         out: dict[Subset, int] = {}
-        for t, c in power(s).items():
-            pos = bisect.bisect_left(t, b1)
-            if pos < len(t) and t[pos] == b1:
-                rest = kill.map_subset(t[:pos] + t[pos + 1:])
-                if rest is not None:
-                    out[rest] = c if pos & 1 else -c
-        return out
+        for p, i in enumerate(s):
+            m = b1[i] if p & 1 else -b1[i]
+            if m:
+                for t, c in rest(s[:p] + s[p + 1:]).items():
+                    out[t] = out.get(t, 0) + m * c
+        return {t: c for t, c in out.items() if c}
 
     return image
 
@@ -378,22 +382,29 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     value is sum over k of (-1)^k (n0 - k + 1) tr C_k, canonical up to
     one overall sign.
 
-    A word with no surgery is twists only, and tr C_k = tr Lambda^k P for
-    their integer product P, which ``fibered_value`` reads off the
-    characteristic polynomial of P.  Otherwise every e_S with |S| <=
-    min(n0, 2g) is pushed through stages that are the move images' own
-    constructors.  Lambda is a functor, so the twists since the last
-    surgery act as the exterior power of their integer product P, which
-    folds into the next down frame: a down is ``_contract_a1(frame P)``.
-    An up is ``_insert_a1`` followed by its inverse frame; the insertion
-    carries P across as 1 + P, and the frame times 1 + P stays pending.
-    Each down thus costs one integer exterior power, and whatever is
-    pending at the end of the word one more.  Every circle is checked
-    before a separating one short-circuits to zero.
+    Every circle is checked primitive, in move order, first; then a
+    separating circle gives the zero map and the value 0, before any frame
+    is built.  A word with no surgery is twists only, and tr C_k =
+    tr Lambda^k P for their integer product P, which ``fibered_value``
+    reads off the characteristic polynomial of P.  Otherwise every e_S
+    with |S| <= min(n0, 2g) is pushed through stages that are the move
+    images' own constructors, and a push stops once its vector is zero.
+    Lambda is a functor, so the twists since the last surgery act as the
+    exterior power of their integer product P, which folds into the next
+    down frame: a down is ``_contract_a1(frame P)``, an expansion along
+    row b_1.  An up is ``_insert_a1`` followed by its inverse frame; the
+    insertion carries P across as 1 + P, and the frame times 1 + P stays
+    pending, to be applied as one integer exterior power at the end.
     """
+    for move, genus in zip(cycle.moves, cycle.fibers):
+        if move.kind != "twist" and not move.separating:
+            assert move.circle is not None
+            surface = SymplecticLattice(genus + 1 if move.kind == "up" else genus)
+            primitive_class(surface, move.circle)
+    if any(move.separating for move in cycle.moves):
+        return 0
     stages: list[Image] = []
     pending: SpMatrix | None = None
-    separating = False
     for move, genus in zip(cycle.moves, cycle.fibers):
         if move.kind == "twist":
             assert move.matrix is not None
@@ -402,19 +413,13 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
         assert move.circle is not None
         lattice = SymplecticLattice(genus)
         if move.kind == "down":
-            frame = _down_frame(move.circle, lattice)
-            if frame is not None:
-                stages.append(_contract_a1(frame if pending is None else frame @ pending, lattice))
+            frame = adapted_basis(lattice, move.circle)
+            stages.append(_contract_a1(frame if pending is None else frame @ pending, lattice))
             pending = None
         else:
-            frame = _up_frame(move.circle, lattice)
+            frame = circle_frame(SymplecticLattice(genus + 1), move.circle)
             stages.append(_insert_a1(lattice))
-            if frame is not None and pending is not None:
-                frame = frame @ _after_first_pair(pending)
-            pending = frame
-        separating |= frame is None
-    if separating:
-        return 0
+            pending = frame if pending is None else frame @ _after_first_pair(pending)
     if not stages:
         assert pending is not None
         return fibered_value(alexander_fibered(pending), cycle.n0)
@@ -427,10 +432,13 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
             vector = {start: 1}
             for stage in stages:
                 vector = _push(stage, vector)
-            if last is None:
-                total += weight * vector.get(start, 0)
+                if not vector:
+                    break
             else:
-                total += weight * sum(c * last(t).get(start, 0) for t, c in vector.items())
+                if last is None:
+                    total += weight * vector.get(start, 0)
+                else:
+                    total += weight * sum(c * last(t).get(start, 0) for t, c in vector.items())
     return total
 
 

@@ -509,6 +509,28 @@ def test_separating_down_then_non_primitive_up_exits_3(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "error: circle class must be primitive\n")
 
 
+_TWIST = {"kind": "twist", "matrix": [[2, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("fibers, moves, message", [
+    ([1, 1], [_TWIST, {**_TWIST, "circle": [1, 0]}], "move 1: twist moves carry no circle"),
+    ([1, 0], [{"kind": "down", "circle": [1, 0], "matrix": [[1, 0], [0, 1]]},
+              {"kind": "up", "circle": [0, 1]}],
+     "move 0: down moves carry no matrix"),
+    ([1, 0], [{"kind": "down", "circle": [1, 0]},
+              {"kind": "up", "circle": [0, 1], "matrix": [[0, 1], [-1, 0]]}],
+     "move 1: up moves carry no matrix"),
+])
+def test_stray_move_fields_exit_2(tmp_path, capsys, fibers, moves, message):
+    """A field that a move kind does not carry is refused, not dropped."""
+    path = tmp_path / "cycle.json"
+    path.write_text(doc(morse_cycle={"n0": 1, "fibers": fibers, "moves": moves}))
+    for extra in ([], ["--json"]):
+        assert main(["tqft-eval", "--input", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_more_moves_than_fibers_exits_3_before_reading_matrices(tmp_path, capsys):
     """The lengths are compared before any twist matrix is built for a fiber."""
     path = tmp_path / "cycle.json"

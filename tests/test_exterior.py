@@ -19,6 +19,7 @@ from lagmatch.exterior import (
     ext_power_action,
     ext_power_images,
     intersection,
+    primitive_class,
     theta_divided,
     transvection,
     wedge,
@@ -415,3 +416,88 @@ def test_integer_kernel_matches_ext_power_action():
                     got = image(subset)
                     assert got == want.terms, (g, subset)
                     assert all(type(c) is int for c in got.values())
+
+
+def _oracle_circle_frame(lattice, circle):
+    """The frame as built before the closed-form pass: each round pairs u with
+    all 2g projected generators by dot products, projects every generator,
+    and divides the first nonzero one by the gcd of its pairings.
+
+    It also asserts the identity the closed form rests on: every projected
+    generator pairs with u as -(J u)_i, the pairing of u with e_i.
+    """
+    g = lattice.genus
+    n = lattice.rank
+
+    def dual(y):
+        return (*y[g:], *(-c for c in y[:g]))
+
+    gens = [lattice.basis_vector(i) for i in range(n)]
+    u = tuple(circle)
+    us, ws = [], []
+    while u is not None and len(us) < g:
+        du = dual(u)
+        pairings = [-sum(a * b for a, b in zip(x, du)) for x in gens]
+        assert pairings == [-c for c in du]
+        d, coeffs = _bezout(pairings)
+        assert d == 1
+        w = tuple(sum(c * x[i] for c, x in zip(coeffs, gens)) for i in range(n))
+        us.append(u)
+        ws.append(w)
+        dw = dual(w)
+        projected = []
+        for x, ux in zip(gens, pairings):
+            wx = -sum(a * b for a, b in zip(x, dw))
+            projected.append(tuple(xi + wx * ui - ux * wi for xi, ui, wi in zip(x, u, w)))
+        gens = projected
+        u = None
+        for x in gens:
+            if any(x):
+                dx = dual(x)
+                pair_gcd = math.gcd(*(sum(a * b for a, b in zip(y, dx)) for y in gens))
+                if pair_gcd == 0:
+                    continue
+                assert all(c % pair_gcd == 0 for c in x)
+                u = tuple(c // pair_gcd for c in x)
+                break
+    assert len(us) == g
+    return SpMatrix(lattice, list(zip(*(us + ws))))
+
+
+def test_closed_form_frames_match_both_oracles():
+    """circle_frame and adapted_basis give the rows of the dot-product
+    Gram-Schmidt and of the first construction on 2,400 seeded circles."""
+    rng = random.Random(29)
+    for trial in range(2400):
+        g = trial % 8 + 1
+        lat = SymplecticLattice(g)
+        circle = random_primitive(rng, lat.rank, spread=trial // 8 % 7 + 1)
+        frame = _oracle_circle_frame(lat, circle)
+        assert circle_frame(lat, circle).rows == frame.rows, circle
+        assert adapted_basis(lat, circle).rows == frame.inverse().rows, circle
+        if trial % 4 == 0:
+            assert frame.inverse().rows == _oracle_adapted_basis(lat, circle).rows, circle
+
+
+def test_primitive_class_rejects_content_and_length():
+    lat = SymplecticLattice(2)
+    assert primitive_class(lat, [2, 3, 0, 0]) == (2, 3, 0, 0)
+    for circle in ((2, 0, 0, 4), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="^circle class must be primitive$"):
+            primitive_class(lat, circle)
+    with pytest.raises(ValueError, match="^vector has length 2, lattice rank is 4$"):
+        primitive_class(lat, (1, 0))
+    with pytest.raises(ValueError, match="^circle class must be primitive$"):
+        primitive_class(SymplecticLattice(0), ())
+
+
+def test_ext_power_images_of_non_square_rows():
+    """Rows of a 2x3 matrix, and no rows at all, as in a genus-1 contraction."""
+    image = ext_power_images([(1, 2, 0), (0, 1, 3)], 3)
+    assert image((1,)) == {(0,): 2, (1,): 1}
+    assert image((0, 1)) == {(0, 1): 1}
+    assert image((1, 2)) == {(0, 1): 6}
+    assert image((0, 1, 2)) == {}
+    empty = ext_power_images((), 2)
+    assert empty(()) == {(): 1}
+    assert empty((0,)) == empty((1,)) == empty((0, 1)) == {}

@@ -1,5 +1,6 @@
 """Elementary-move maps, cycle evaluation, and the fibered cross-check."""
 
+import bisect
 import itertools
 import json
 import math
@@ -21,13 +22,16 @@ from lagmatch.exterior import (
     adapted_basis,
     contract,
     ext_power_action,
+    ext_power_images,
     theta_divided,
     transvection,
     wedge,
 )
 from lagmatch.symprod import SymClass, basis, cap_U_classical, cap_ext, monomial_degree
+from lagmatch import tqft
 from lagmatch.tqft import (
     _char_poly,
+    _contract_a1,
     _down_image,
     _twist_image,
     _up_image,
@@ -543,6 +547,112 @@ def test_separating_down_before_non_primitive_up_still_fails():
     """Every circle is checked before a separating one short-circuits."""
     cycle = MorseCycle(
         [2, 1], [ElementaryMove.down((0, 0, 0, 0)), ElementaryMove.up((2, 0, 0, 2))], 1
+    )
+    with pytest.raises(ValueError, match="^circle class must be primitive$"):
+        evaluate_cycle(cycle)
+
+
+def _oracle_contract_a1(frame, lattice):
+    """The down image as first written: the whole Lambda(frame) e_S, filtered
+    for the terms with b_1 and without a_1, which are relabelled."""
+    power = ext_power_images(frame.rows)
+    kill = LatticeProjection.kill_first_pair(lattice)
+    b1 = lattice.genus
+
+    def image(s):
+        out = {}
+        for t, c in power(s).items():
+            pos = bisect.bisect_left(t, b1)
+            if pos < len(t) and t[pos] == b1:
+                rest = kill.map_subset(t[:pos] + t[pos + 1:])
+                if rest is not None:
+                    out[rest] = c if pos & 1 else -c
+        return out
+
+    return image
+
+
+def test_contract_a1_matches_the_filtered_exterior_power():
+    """The expansion along row b_1 equals the filter of the full exterior
+    power on every subset, for frames times twists at genus 1 to 5."""
+    rng = random.Random(46)
+    for g in range(1, 6):
+        lat = SymplecticLattice(g)
+        subsets = [s for k in range(lat.rank + 1) for s in itertools.combinations(range(lat.rank), k)]
+        for _ in range(3 if g < 5 else 1):
+            frame = adapted_basis(lat, random_primitive(rng, lat.rank))
+            matrix = frame @ random_sp(rng, lat, length=rng.randint(1, 2 * g))
+            got, want = _contract_a1(matrix, lat), _oracle_contract_a1(matrix, lat)
+            for s in subsets:
+                assert got(s) == want(s), (matrix.rows, s)
+
+
+def multi_handle_words(rng, count):
+    """Seeded words over two handles: down, down, twist, up, up (the genus
+    drops by two) and down, up, down, up, at top genus 2 or 3."""
+    words = []
+    for trial in range(count):
+        g = 2 + trial % 2
+        if trial % 4 < 2:
+            fibers = [g, g - 1, g - 2, g - 2, g - 1]
+            moves = [
+                ElementaryMove.down(random_primitive(rng, 2 * g)),
+                ElementaryMove.down(random_primitive(rng, 2 * g - 2)),
+                ElementaryMove.twist(random_sp(rng, SymplecticLattice(g - 2), length=2)),
+                ElementaryMove.up(random_primitive(rng, 2 * g - 2)),
+                ElementaryMove.up(random_primitive(rng, 2 * g)),
+            ]
+        else:
+            fibers = [g, g - 1, g, g - 1]
+            moves = [
+                ElementaryMove.down(random_primitive(rng, 2 * g)),
+                ElementaryMove.up(random_primitive(rng, 2 * g)),
+                ElementaryMove.down(random_primitive(rng, 2 * g)),
+                ElementaryMove.up(random_primitive(rng, 2 * g)),
+            ]
+        words.append((fibers, moves, rng.randint(2, 3) if g == 2 else 2))
+    return words
+
+
+def test_multi_handle_words_match_the_composite_in_every_rotation():
+    """Each rotation equals the graded trace of the composite of lifts, and
+    rotating past a surgery flips the sign."""
+    for fibers, moves, n0 in multi_handle_words(random.Random(47), 12):
+        base = None
+        sign = 1
+        for r in range(len(moves)):
+            if r:
+                sign *= -1 if moves[r - 1].kind in ("down", "up") else 1
+            cycle = MorseCycle(fibers[r:] + fibers[:r], moves[r:] + moves[:r], n0 + fibers[r] - fibers[0])
+            value = evaluate_cycle(cycle)
+            assert value == graded_trace(cycle), cycle
+            if base is None:
+                base = value
+            assert value == sign * base, cycle
+
+
+def test_separating_word_builds_no_frame(monkeypatch):
+    """A separating circle decides the value before any frame is built."""
+
+    def refuse(*args):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(tqft, "adapted_basis", refuse)
+    monkeypatch.setattr(tqft, "circle_frame", refuse)
+    lat = SymplecticLattice(2)
+    for moves, fibers in (
+        ([ElementaryMove.twist(SpMatrix.identity(lat)), ElementaryMove.down((0,) * 4),
+          ElementaryMove.up((1, 0, 0, 0))], [2, 2, 1]),
+        ([ElementaryMove.down((0, 1, 1, 0)), ElementaryMove.up((0,) * 4)], [2, 1]),
+    ):
+        assert evaluate_cycle(MorseCycle(fibers, moves, 2)) == 0
+    with pytest.raises(AssertionError, match="a frame was built"):
+        evaluate_cycle(MorseCycle([2, 1], [ElementaryMove.down((0, 1, 1, 0)), ElementaryMove.up((1, 0, 0, 0))], 2))
+
+
+def test_separating_up_before_non_primitive_down_still_fails():
+    cycle = MorseCycle(
+        [1, 2], [ElementaryMove.up((0, 0, 0, 0)), ElementaryMove.down((0, 3, 0, 3))], 1
     )
     with pytest.raises(ValueError, match="^circle class must be primitive$"):
         evaluate_cycle(cycle)
