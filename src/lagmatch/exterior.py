@@ -370,6 +370,18 @@ class SpMatrix:
         if not self._is_symplectic():
             raise ValueError("matrix does not preserve the symplectic form")
 
+    @classmethod
+    def _closed(cls, lattice: SymplecticLattice, rows: Sequence[Sequence[int]]) -> "SpMatrix":
+        """A matrix symplectic by group closure, built from checked ones: no check.
+
+        For products, inverses and block sums of matrices that were already
+        checked; ``rows`` must be n x n integers.
+        """
+        self = object.__new__(cls)
+        self.lattice = lattice
+        self.rows = tuple(map(tuple, rows))
+        return self
+
     def _is_symplectic(self) -> bool:
         """M^T J M = J: column i pairs with columns i..n-1 as row i of J says."""
         g = self.lattice.genus
@@ -400,7 +412,7 @@ class SpMatrix:
             raise ValueError("matrix lattices differ")
         cols = list(zip(*other.rows))
         rows = [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
-        return SpMatrix(self.lattice, rows)
+        return SpMatrix._closed(self.lattice, rows)
 
     def inverse(self) -> "SpMatrix":
         """Symplectic inverse M^{-1} = -J M^T J, integer by construction.
@@ -413,7 +425,7 @@ class SpMatrix:
         cols = list(zip(*self.rows))
         rows = [_dual(g, col) for col in cols[g:]]
         rows += [tuple(-x for x in _dual(g, col)) for col in cols[:g]]
-        return SpMatrix(self.lattice, rows)
+        return SpMatrix._closed(self.lattice, rows)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -370,7 +370,7 @@ def _after_first_pair(matrix: SpMatrix) -> SpMatrix:
     for i, row in zip(include.images, matrix.rows):
         for j, x in zip(include.images, row):
             rows[i][j] = x
-    return SpMatrix(include.target, rows)
+    return SpMatrix._closed(include.target, rows)
 
 
 def evaluate_cycle(cycle: MorseCycle) -> int:
@@ -386,15 +386,23 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     separating circle gives the zero map and the value 0, before any frame
     is built.  A word with no surgery is twists only, and tr C_k =
     tr Lambda^k P for their integer product P, which ``fibered_value``
-    reads off the characteristic polynomial of P.  Otherwise every e_S
-    with |S| <= min(n0, 2g) is pushed through stages that are the move
-    images' own constructors, and a push stops once its vector is zero.
-    Lambda is a functor, so the twists since the last surgery act as the
-    exterior power of their integer product P, which folds into the next
-    down frame: a down is ``_contract_a1(frame P)``, an expansion along
-    row b_1.  An up is ``_insert_a1`` followed by its inverse frame; the
-    insertion carries P across as 1 + P, and the frame times 1 + P stays
-    pending, to be applied as one integer exterior power at the end.
+    reads off the characteristic polynomial of P.
+
+    A word with a surgery is read from fiber r, the one right after the
+    down with the lowest target genus (the first such down on ties).  A
+    surgery moves k and the fiber genus by the same step, so C_k at fiber 0
+    is conjugate to C_k' at fiber r with k' = k + g_r - g_0, over
+    Sym^{n0'} with n0' = n0 + g_r - g_0: the weight n0 - k + 1 is kept and
+    the sign changes by (-1)^(g_r - g_0).  Every e_S with
+    |S| <= min(n0', 2 g_r), the fewest starts of any fiber, is pushed
+    through stages that are the move images' own constructors, and a push
+    stops once its vector is zero.  Lambda is a functor, so the twists
+    since the last surgery act as the exterior power of their integer
+    product P, which folds into the next down frame: a down is
+    ``_contract_a1(frame P)``, an expansion along row b_1.  An up is
+    ``_insert_a1``, which carries P across as 1 + P, and its inverse frame
+    times 1 + P stays pending for the next down.  The rotated word ends
+    with a down, so nothing is pending at the end.
     """
     for move, genus in zip(cycle.moves, cycle.fibers):
         if move.kind != "twist" and not move.separating:
@@ -403,9 +411,11 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
             primitive_class(surface, move.circle)
     if any(move.separating for move in cycle.moves):
         return 0
+    downs = [j for j, move in enumerate(cycle.moves) if move.kind == "down"]
+    r = (min(downs, key=cycle.fibers.__getitem__) + 1) % len(cycle.moves) if downs else 0
     stages: list[Image] = []
     pending: SpMatrix | None = None
-    for move, genus in zip(cycle.moves, cycle.fibers):
+    for move, genus in zip(cycle.moves[r:] + cycle.moves[:r], cycle.fibers[r:] + cycle.fibers[:r]):
         if move.kind == "twist":
             assert move.matrix is not None
             pending = move.matrix if pending is None else move.matrix @ pending
@@ -423,11 +433,11 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     if not stages:
         assert pending is not None
         return fibered_value(alexander_fibered(pending), cycle.n0)
-    last = None if pending is None else _twist_image(pending)
-    rank = 2 * cycle.fibers[0]
+    assert pending is None
+    n0, rank = cycle.nu(r), 2 * cycle.fibers[r]
     total = 0
-    for k in range(min(cycle.n0, rank) + 1):
-        weight = (-1) ** k * (cycle.n0 - k + 1)
+    for k in range(min(n0, rank) + 1):
+        weight = (-1) ** k * (n0 - k + 1)
         for start in itertools.combinations(range(rank), k):
             vector = {start: 1}
             for stage in stages:
@@ -435,11 +445,8 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
                 if not vector:
                     break
             else:
-                if last is None:
-                    total += weight * vector.get(start, 0)
-                else:
-                    total += weight * sum(c * last(t).get(start, 0) for t, c in vector.items())
-    return total
+                total += weight * vector.get(start, 0)
+    return -total if (cycle.fibers[r] - cycle.fibers[0]) & 1 else total
 
 
 class ConnectedSumReport(NamedTuple):

@@ -531,6 +531,26 @@ def test_stray_move_fields_exit_2(tmp_path, capsys, fibers, moves, message):
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+_DOUBLE = [[2, 0], [0, 1]]  # det 2: not symplectic
+
+
+@pytest.mark.parametrize("fibers, moves", [
+    ([1], [{"kind": "twist", "matrix": _DOUBLE}]),
+    ([1, 1], [_TWIST, {"kind": "twist", "matrix": _DOUBLE}]),
+    ([2, 1, 1, 2], [{"kind": "down", "circle": [1, 0, 0, 0]}, {"kind": "twist", "matrix": _DOUBLE},
+                    {"kind": "up", "circle": [0, 1, 0, 0]},
+                    {"kind": "twist", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}]),
+])
+def test_non_symplectic_twist_exits_3(tmp_path, capsys, fibers, moves):
+    """A parsed twist matrix is checked, whatever the word around it."""
+    path = tmp_path / "cycle.json"
+    path.write_text(doc(morse_cycle={"n0": 2, "fibers": fibers, "moves": moves}))
+    for extra in ([], ["--json"]):
+        assert main(["tqft-eval", "--input", str(path), *extra]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: matrix does not preserve the symplectic form\n")
+
+
 def test_more_moves_than_fibers_exits_3_before_reading_matrices(tmp_path, capsys):
     """The lengths are compared before any twist matrix is built for a fiber."""
     path = tmp_path / "cycle.json"

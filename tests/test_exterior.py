@@ -304,6 +304,20 @@ def test_inverse_of_random_products():
         assert (m.inverse() @ m).rows == SpMatrix.identity(lat).rows
 
 
+def test_products_and_inverses_match_the_checked_construction():
+    """Products and inverses skip the symplectic check: they pass it, and
+    equal the matrix the checked constructor builds from their rows."""
+    rng = random.Random(47)
+    for g in range(1, 9):
+        lat = SymplecticLattice(g)
+        for _ in range(3):
+            a, b = random_sp(rng, lat, length=g + 2), random_sp(rng, lat, length=g + 2)
+            for m in (a @ b, b @ a, a.inverse(), (a @ b).inverse() @ b):
+                assert m._is_symplectic()
+                assert SpMatrix(lat, m.rows) == m
+                assert all(type(x) is int for row in m.rows for x in row)
+
+
 def test_ext_power_action_is_multiplicative():
     rng = random.Random(16)
     lat = SymplecticLattice(2)

@@ -20,9 +20,11 @@ from lagmatch.exterior import (
     SpMatrix,
     SymplecticLattice,
     adapted_basis,
+    circle_frame,
     contract,
     ext_power_action,
     ext_power_images,
+    primitive_class,
     theta_divided,
     transvection,
     wedge,
@@ -658,6 +660,180 @@ def test_separating_up_before_non_primitive_down_still_fails():
         evaluate_cycle(cycle)
 
 
+# -- the lowest-fiber start against the fiber-0 oracle ---------------------
+
+
+def _oracle_evaluate_cycle(cycle):
+    """evaluate_cycle as it was before it started on the lowest fiber: every
+    e_S of fiber 0 is pushed around the word, and the product still pending
+    at the end is applied as one integer exterior power."""
+    for move, genus in zip(cycle.moves, cycle.fibers):
+        if move.kind != "twist" and not move.separating:
+            surface = SymplecticLattice(genus + 1 if move.kind == "up" else genus)
+            primitive_class(surface, move.circle)
+    if any(move.separating for move in cycle.moves):
+        return 0
+    stages = []
+    pending = None
+    for move, genus in zip(cycle.moves, cycle.fibers):
+        if move.kind == "twist":
+            pending = move.matrix if pending is None else move.matrix @ pending
+            continue
+        lattice = SymplecticLattice(genus)
+        if move.kind == "down":
+            frame = adapted_basis(lattice, move.circle)
+            stages.append(_contract_a1(frame if pending is None else frame @ pending, lattice))
+            pending = None
+        else:
+            frame = circle_frame(SymplecticLattice(genus + 1), move.circle)
+            stages.append(tqft._insert_a1(lattice))
+            pending = frame if pending is None else frame @ tqft._after_first_pair(pending)
+    if not stages:
+        return tqft.fibered_value(alexander_fibered(pending), cycle.n0)
+    last = None if pending is None else tqft._twist_image(pending)
+    rank = 2 * cycle.fibers[0]
+    total = 0
+    for k in range(min(cycle.n0, rank) + 1):
+        weight = (-1) ** k * (cycle.n0 - k + 1)
+        for start in itertools.combinations(range(rank), k):
+            vector = {start: 1}
+            for stage in stages:
+                vector = tqft._push(stage, vector)
+                if not vector:
+                    break
+            else:
+                if last is None:
+                    total += weight * vector.get(start, 0)
+                else:
+                    total += weight * sum(c * last(t).get(start, 0) for t, c in vector.items())
+    return total
+
+
+def rotations(fibers, moves, n0):
+    """The cycle read from each of its fibers in turn, fiber 0 first."""
+    for r in range(len(moves)):
+        yield MorseCycle(fibers[r:] + fibers[:r], moves[r:] + moves[:r], n0 + fibers[r] - fibers[0])
+
+
+def cycle_eval_words(rng):
+    """The word shapes of the cycle-eval benchmark: one and two twists,
+    down.twist.up.twist, a separating down, and down.up, at genus 1 to 4,
+    with n0 up to 2g at g <= 3 and up to 3 at g = 4."""
+    words = []
+    for g in range(1, 5):
+        lat, low = SymplecticLattice(g), SymplecticLattice(g - 1)
+        for n0 in range(1, (2 * g if g <= 3 else 3) + 1):
+            mats = [random_sp(rng, lat, length=2 * g + 2) for _ in range(2)]
+            words.append(([g], [ElementaryMove.twist(mats[0])], n0))
+            words.append(([g, g], [ElementaryMove.twist(m) for m in mats], n0))
+            words.append(([g, g - 1, g - 1, g], [
+                ElementaryMove.down(random_primitive(rng, 2 * g, spread=2)),
+                ElementaryMove.twist(random_sp(rng, low, length=2 * g)),
+                ElementaryMove.up(random_primitive(rng, 2 * g, spread=2)),
+                ElementaryMove.twist(mats[1]),
+            ], n0))
+            words.append(([g, g, g - 1], [
+                ElementaryMove.twist(mats[0]),
+                ElementaryMove.down((0,) * (2 * g)),
+                ElementaryMove.up(random_primitive(rng, 2 * g, spread=2)),
+            ], n0))
+            circle = random_primitive(rng, 2 * g, spread=2)
+            words.append(([g, g - 1], [ElementaryMove.down(circle), ElementaryMove.up(circle)], n0))
+    return words
+
+
+def twist_run_words(rng, count):
+    """Seeded words with a run of twists right before their lowest down:
+    one handle with twists on every fiber, two handles whose downs tie for
+    the lowest target, and a genus drop of two, at top genus 2 or 3."""
+    def twists(g, length):
+        lat = SymplecticLattice(g)
+        return [ElementaryMove.twist(random_sp(rng, lat, length=3)) for _ in range(length)]
+
+    def circle(g):
+        return ElementaryMove.down(random_primitive(rng, 2 * g)), ElementaryMove.up(random_primitive(rng, 2 * g))
+
+    words = []
+    for trial in range(count):
+        g = 2 + trial % 2
+        (down, up), (down2, up2) = circle(g), circle(g)
+        kind = trial % 3
+        if kind == 0:
+            moves = twists(g, 2) + [down] + twists(g - 1, 2) + [up] + twists(g, 1)
+            fibers = [g, g, g, g - 1, g - 1, g - 1, g]
+        elif kind == 1:
+            moves = twists(g, 1) + [down, up] + twists(g, 2) + [down2, up2]
+            fibers = [g, g, g - 1, g, g, g, g - 1]
+        else:
+            lower_down, lower_up = circle(g - 1)
+            moves = twists(g, 1) + [down] + twists(g - 1, 1) + [lower_down] + twists(g - 2, 1)
+            moves += [lower_up, up]
+            fibers = [g, g, g - 1, g - 1, g - 2, g - 2, g - 1]
+        words.append((fibers, moves, rng.randint(2, 3)))
+    return words
+
+
+def test_lowest_fiber_start_matches_the_fiber_zero_oracle():
+    """Every rotation of every benchmark shape, two-handle word and word with
+    twists before its lowest down equals the fiber-0 evaluation, sign included."""
+    rng = random.Random(74)
+    words = cycle_eval_words(rng) + multi_handle_words(rng, 12) + twist_run_words(rng, 12)
+    nonzero = 0
+    for fibers, moves, n0 in words:
+        for cycle in rotations(fibers, moves, n0):
+            value = evaluate_cycle(cycle)
+            assert value == _oracle_evaluate_cycle(cycle), cycle
+            nonzero += value != 0
+    assert nonzero > 200
+
+
+def test_twist_run_words_match_the_composite():
+    """The oracle itself against the graded trace of the composite of lifts."""
+    for fibers, moves, n0 in twist_run_words(random.Random(75), 6):
+        cycle = next(rotations(fibers, moves, n0))
+        assert evaluate_cycle(cycle) == graded_trace(cycle), cycle
+
+
+def test_word_ending_in_up_twist_builds_no_trailing_power(monkeypatch):
+    """No exterior power of a pending product is built: the evaluation ends
+    with its lowest down, into which every pending product folds."""
+    rng = random.Random(76)
+    cases = []
+    for g in (1, 2, 3):
+        fibers = [g, g - 1, g - 1, g]
+        moves = [
+            ElementaryMove.down(random_primitive(rng, 2 * g)),
+            ElementaryMove.twist(random_sp(rng, SymplecticLattice(g - 1))),
+            ElementaryMove.up(random_primitive(rng, 2 * g)),
+            ElementaryMove.twist(random_sp(rng, SymplecticLattice(g))),
+        ]
+        for n0 in (1, 2):
+            cycle = MorseCycle(fibers, moves, n0)
+            cases.append((cycle, graded_trace(cycle)))
+    assert sum(1 for _, value in cases if value) >= 4
+
+    def refuse(*args):
+        raise AssertionError("an exterior power of a twist was built")
+
+    monkeypatch.setattr(tqft, "_twist_image", refuse)
+    for cycle, value in cases:
+        assert evaluate_cycle(cycle) == value, cycle
+    with pytest.raises(AssertionError, match="an exterior power of a twist was built"):
+        _oracle_evaluate_cycle(cases[-1][0])
+
+
+def test_after_first_pair_matches_the_checked_construction():
+    """1 + M skips the symplectic check: it passes it, and equals the matrix
+    the checked constructor builds from its rows."""
+    rng = random.Random(77)
+    for g in range(8):
+        lat = SymplecticLattice(g)
+        for _ in range(3):
+            m = tqft._after_first_pair(random_sp(rng, lat, length=2 * g + 1))
+            assert m._is_symplectic()
+            assert SpMatrix(SymplecticLattice(g + 1), m.rows) == m
+
+
 # -- twist-only words: Macdonald's formula ---------------------------------
 
 
@@ -831,3 +1007,47 @@ def test_tqft_eval_dense_genus_eight_two_twists_stays_bounded():
     )
     assert out.returncode == 0, out.stderr
     assert int(json.loads(out.stdout)["value"]) == _macdonald((second @ first).rows, 16)
+
+
+def test_tqft_eval_genus_five_surgery_word_stays_bounded():
+    """down.twist.up.twist at genus 5 and n0 = 10, in a child under a 1 GiB
+    address-space limit, equals the fiber-0 evaluation."""
+    import resource
+
+    limit = 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    rng = random.Random(78)
+    fibers = [5, 4, 4, 5]
+    moves = [
+        ElementaryMove.down(random_primitive(rng, 10, spread=2)),
+        ElementaryMove.twist(random_sp(rng, SymplecticLattice(4), length=10)),
+        ElementaryMove.up(random_primitive(rng, 10, spread=2)),
+        ElementaryMove.twist(random_sp(rng, SymplecticLattice(5), length=12)),
+    ]
+    cycle = {
+        "n0": 10,
+        "fibers": fibers,
+        "moves": [
+            {"kind": m.kind, "circle": list(m.circle)} if m.matrix is None
+            else {"kind": "twist", "matrix": [list(row) for row in m.matrix.rows]}
+            for m in moves
+        ],
+    }
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("LAGMATCH_THREADS", None)
+    out = subprocess.run(
+        [sys.executable, "-m", "lagmatch", "tqft-eval", "--input", "-", "--json"],
+        input=json.dumps({"schema": "lagmatch-input@1", "morse_cycle": cycle}),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert out.returncode == 0, out.stderr
+    expected = _oracle_evaluate_cycle(MorseCycle(fibers, moves, 10))
+    assert expected != 0
+    assert int(json.loads(out.stdout)["value"]) == expected
