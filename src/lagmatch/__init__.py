@@ -1,6 +1,6 @@
 """lagmatch: exact invariants of broken fibrations on four-manifolds.
 
-The package has five layers, bottom to top:
+The package has eight modules below the command line, bottom to top:
 
 ``exterior``
     Exact exterior algebra over the first homology of a surface, with the
@@ -17,6 +17,10 @@ The package has five layers, bottom to top:
     diffeomorphism twists), closed-cycle evaluation by graded supertrace,
     and the Alexander-polynomial form of the fibered case.
 
+``bareiss``
+    Fraction-free integer elimination: the determinant of a form and exact
+    solves against it.
+
 ``spinc``
     Spin-c structures on a broken fibration descriptor: formal dimensions,
     the Taubes correspondence, admissibility regimes, grading moduli.
@@ -24,6 +28,13 @@ The package has five layers, bottom to top:
 ``czindex``
     Conley-Zehnder indices of sampled symplectic paths (the one floating
     point corner, guarded).
+
+``schema``
+    The versioned JSON Schema of input documents, and ``conforms``, the
+    standard-library check that accepts the valid ones.
+
+``fixtures``
+    Small worked input documents, embedded in the package.
 
 ``cli`` exposes the ``lagmatch`` command.
 """

@@ -187,15 +187,6 @@ class ExtElement:
     def degrees(self) -> set[int]:
         return {len(s) for s in self.terms}
 
-    def degree(self) -> int:
-        """Degree of a homogeneous element (0 for the zero element)."""
-        ds = self.degrees()
-        if not ds:
-            return 0
-        if len(ds) > 1:
-            raise ValueError(f"element is not homogeneous, degrees {sorted(ds)}")
-        return ds.pop()
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

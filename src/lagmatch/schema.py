@@ -11,10 +11,10 @@ numbers are rejected everywhere except inside ``cz`` sample matrices.
 That float rule is enforced by the CLI after validation, since JSON Schema
 alone cannot distinguish 2 from 2.0.
 
-Valid documents are accepted by ``conforms``, a standard-library check of
-the few draft-07 keywords this schema uses, compiled into closures on
-first use.  It is conservative, so a document it accepts is one
-jsonschema accepts too.  Only a document it does not accept goes to
+Valid documents are accepted by ``conforms``, a standard-library check
+against ``INPUT_SCHEMA`` alone, of the few draft-07 keywords it uses,
+compiled into closures on first use.  It is conservative, so a document
+it accepts is one jsonschema accepts too.  Only a document it does not accept goes to
 jsonschema, which words every rejection (and accepts what the check was
 too strict for, such as the number 2.0 where an integer is due).
 
@@ -172,8 +172,6 @@ INPUT_SCHEMA: dict = {
 }
 
 
-_DRAFT_07 = "http://json-schema.org/draft-07/schema#"
-
 # Exact Python types per JSON type: a bool is neither an integer nor a
 # number here, and 2.0 is not an integer, which is stricter than jsonschema.
 _EXACT_TYPES = {
@@ -186,14 +184,6 @@ _EXACT_TYPES = {
 }
 
 Check = Callable[[Any], bool]
-
-
-def _types(rule: Any) -> frozenset[type]:
-    return _EXACT_TYPES.get(rule, frozenset()) if type(rule) is str else frozenset()
-
-
-def _never(value: Any) -> bool:
-    return False
 
 
 class _Compiled(NamedTuple):
@@ -210,7 +200,7 @@ def _compile(schema: dict) -> _Compiled:
     together, so a matrix of numbers is checked without a call per row.
     """
     # The type first: it is the cheapest refusal and the most common one.
-    checks = [KEYWORDS.get(key, _unknown)(rule, schema)
+    checks = [KEYWORDS[key](rule, schema)
               for key, rule in sorted(schema.items(), key=lambda item: item[0] != "type")]
 
     def one(value: Any) -> bool:
@@ -220,9 +210,9 @@ def _compile(schema: dict) -> _Compiled:
         return True
 
     if schema.keys() == {"type"}:
-        types = _types(schema["type"])
+        types = _EXACT_TYPES[schema["type"]]
         return _Compiled(checks[0], lambda values: set(map(type, values)) <= types)
-    if (schema.get("type") == "array" and type(schema.get("items")) is dict
+    if (schema.get("type") == "array"
             and schema.keys() <= {"type", "items", "minItems", "maxItems"}):
         return _Compiled(one, _every_array(schema))
     if schema.keys() == {"anyOf"}:
@@ -253,7 +243,7 @@ def _every_array(schema: dict) -> Callable[[list], bool]:
 
 
 def _type(rule: Any, schema: dict) -> Check:
-    types = _types(rule)
+    types = _EXACT_TYPES[rule]
     return lambda v: type(v) in types
 
 
@@ -268,15 +258,11 @@ def _properties(rule: Any, schema: dict) -> Check:
 
 
 def _additional(rule: Any, schema: dict) -> Check:
-    if rule is not False:
-        return _never
     known = frozenset(schema.get("properties", ()))
     return lambda v: not isinstance(v, dict) or v.keys() <= known
 
 
 def _items(rule: Any, schema: dict) -> Check:
-    if type(rule) is not dict:
-        return _never
     every = _compile(rule).every
     return lambda v: not isinstance(v, list) or every(v)
 
@@ -288,12 +274,13 @@ def _any_of(rule: Any, schema: dict) -> Check:
 
 # Each keyword's compiler: (rule, enclosing schema) -> check of one value.
 # Like jsonschema, a keyword about one JSON type holds vacuously for values
-# of other types.
+# of other types.  They read the rules as INPUT_SCHEMA writes them: a type
+# is one name, const and enum options are strings, items is one schema and
+# additionalProperties is false.
 KEYWORDS: dict[str, Callable[[Any, dict], Check]] = {
     "type": _type,
-    "const": lambda rule, s: lambda v: type(v) is str and type(rule) is str and v == rule,
-    "enum": lambda rule, s: lambda v: type(v) is str and any(
-        type(o) is str and v == o for o in rule),
+    "const": lambda rule, s: lambda v: type(v) is str and v == rule,
+    "enum": lambda rule, s: lambda v: type(v) is str and v in rule,
     "pattern": _pattern,
     "anyOf": _any_of,
     "required": lambda rule, s: lambda v: not isinstance(v, dict) or all(k in v for k in rule),
@@ -307,30 +294,16 @@ KEYWORDS: dict[str, Callable[[Any, dict], Check]] = {
 }
 
 
-def _unknown(rule: Any, schema: dict) -> Check:
-    return _never
-
-
-def _compile_root(schema: dict) -> Check:
-    if schema.get("$schema", _DRAFT_07) != _DRAFT_07:
-        return _never
-    return _compile({k: r for k, r in schema.items() if k not in ("$schema", "$id")}).one
-
-
 @functools.cache
 def _input_check() -> Check:
-    """INPUT_SCHEMA compiled, on first use."""
-    return _compile_root(INPUT_SCHEMA)
+    """INPUT_SCHEMA compiled, on first use; ``$schema`` and ``$id`` name it."""
+    return _compile({k: r for k, r in INPUT_SCHEMA.items() if k not in ("$schema", "$id")}).one
 
 
-def conforms(value: Any, schema: dict = INPUT_SCHEMA) -> bool:
-    """True only if jsonschema finds ``value`` valid against ``schema``.
+def conforms(value: Any) -> bool:
+    """True only if jsonschema finds ``value`` valid against ``INPUT_SCHEMA``.
 
-    False for any keyword outside ``KEYWORDS`` (``$schema``, draft-07 only,
-    and ``$id`` are read at the root), and whenever the exact types above
-    are stricter than jsonschema; a False says nothing about validity.
-    ``INPUT_SCHEMA`` is compiled once per process, any other schema on
-    each call.
+    The exact types above are stricter than jsonschema, so a False says
+    nothing about validity.
     """
-    check = _input_check() if schema is INPUT_SCHEMA else _compile_root(schema)
-    return check(value)
+    return _input_check()(value)

@@ -109,8 +109,8 @@ class FibrationDescriptor:
             raise DescriptorError("lefschetz point count must be nonnegative")
         self.regions = tuple(regions)
         self.round_circles = tuple(bool(b) for b in round_circles)
-        self.lefschetz_points = int(lefschetz_points)
-        self.signature = int(signature)
+        self.lefschetz_points = operator.index(lefschetz_points)
+        self.signature = operator.index(signature)
         self.h2 = h2
 
 
@@ -135,7 +135,7 @@ def pairing(c1: Sequence[int], h2_class: Sequence[int]) -> int:
     """<c_1, v> for c_1 in dual coordinates: a plain dot product."""
     if len(c1) != len(h2_class):
         raise ValueError("coordinate lengths differ")
-    return sum(int(a) * int(b) for a, b in zip(c1, h2_class))
+    return sum(operator.index(a) * operator.index(b) for a, b in zip(c1, h2_class))
 
 
 def euler_characteristic(descriptor: FibrationDescriptor) -> int:
@@ -198,7 +198,7 @@ def taubes_convert(beta: Sequence[int], descriptor: FibrationDescriptor) -> Spin
     h2 = descriptor.h2
     if len(beta) != h2.rank:
         raise ValueError("beta has the wrong length")
-    return SpinC(tuple(h2.canonical[j] + 2 * int(beta[j]) for j in range(h2.rank)))
+    return SpinC(tuple(h2.canonical[j] + 2 * operator.index(beta[j]) for j in range(h2.rank)))
 
 
 def fiber_pairings(spinc: SpinC, descriptor: FibrationDescriptor) -> list[int]:
@@ -312,7 +312,7 @@ def admissibility(spinc: SpinC, descriptor: FibrationDescriptor) -> Admissibilit
 
 def grading_modulus(coords: Sequence[int]) -> int:
     """gcd of the coordinates; 0 for the zero vector (fully torsion case)."""
-    return math.gcd(*(abs(int(c)) for c in coords)) if coords else 0
+    return math.gcd(*coords)
 
 
 def _divides(a: int, b: int) -> bool:

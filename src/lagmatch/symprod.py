@@ -95,20 +95,6 @@ class SymClass:
     ) -> "SymClass":
         return cls(n, lattice, {(u_power, tuple(subset)): Fraction(coeff)})
 
-    @classmethod
-    def from_ext(
-        cls,
-        n: int,
-        omega: ExtElement,
-        u_power: int = 0,
-    ) -> "SymClass":
-        """Embed an exterior-algebra element as U^{u_power} (Lambda-part)."""
-        return cls(
-            n,
-            omega.lattice,
-            {(u_power, subset): coeff for subset, coeff in omega.terms.items()},
-        )
-
     # -- linear structure --------------------------------------------
 
     def _require_compatible(self, other: "SymClass") -> None:

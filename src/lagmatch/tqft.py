@@ -18,11 +18,9 @@ reports that short-circuit explicitly.
 For a fibration with no surgeries at all (twists only, with monodromy
 the product M), the evaluation collapses to coefficients of the
 characteristic polynomial of M (Macdonald's formula for Sym^n of a
-surface): ``fibered_value`` reads it off the symmetrized form
-det(tI - M)/t^g that ``alexander_fibered`` computes, and words with a
-surgery are pushed through the folded move images.
-``alexander_cycle_value`` is the weighted coefficient sum of that form
-that the supertrace equals.
+surface): ``alexander_cycle_value`` is that weighted coefficient sum of
+the symmetrized form det(tI - M)/t^g that ``alexander_fibered`` computes.
+Words with a surgery are pushed through the folded move images.
 """
 
 from __future__ import annotations
@@ -385,8 +383,8 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     Every circle is checked primitive, in move order, first; then a
     separating circle gives the zero map and the value 0, before any frame
     is built.  A word with no surgery is twists only, and tr C_k =
-    tr Lambda^k P for their integer product P, which ``fibered_value``
-    reads off the characteristic polynomial of P.
+    tr Lambda^k P for their integer product P, which
+    ``alexander_cycle_value`` reads off the characteristic polynomial of P.
 
     A word with a surgery is read from fiber r, the one right after the
     down with the lowest target genus (the first such down on ties).  A
@@ -432,7 +430,7 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
             pending = frame if pending is None else frame @ _after_first_pair(pending)
     if not stages:
         assert pending is not None
-        return fibered_value(alexander_fibered(pending), cycle.n0)
+        return alexander_cycle_value(alexander_fibered(pending), cycle.n0, cycle.fibers[0])
     assert pending is None
     n0, rank = cycle.nu(r), 2 * cycle.fibers[r]
     total = 0
@@ -483,45 +481,38 @@ def connected_sum_invariant(cycle: MorseCycle) -> ConnectedSumReport:
 # -- the fibered (no-surgery) case ------------------------------------
 
 
-def _char_poly(matrix: SpMatrix | Sequence[Sequence[int]]) -> list[int]:
-    """Coefficients c[0..N] of det(tI - A) = sum c[k] t^k, from power traces.
+def _char_poly(matrix: SpMatrix) -> list[int]:
+    """Coefficients c[0..2g] of det(tI - A) = sum c[k] t^k, from power traces.
 
     With e_k the k-th elementary symmetric function of the eigenvalues,
-    c[N - k] = (-1)^k e_k, and Newton's identities give e_k from the power
-    traces p_i = tr A^i: k e_k = sum_{i <= k} (-1)^(i-1) e_(k-i) p_i.  For
-    p_1..p_K only A, ..., A^h with h = ceil(K/2) are formed, since
-    tr A^(a+b) = sum_ij (A^a)_ij (A^b)_ji.  Raw rows take K = N.  An
-    ``SpMatrix`` was checked symplectic when it was built, so its polynomial
-    is palindromic: K = N/2, and c[k] = c[N - k] gives the rest.  For an
-    integer matrix every division by k is exact.
+    c[2g - k] = (-1)^k e_k, and Newton's identities give e_k from the power
+    traces p_i = tr A^i: k e_k = sum_{i <= k} (-1)^(i-1) e_(k-i) p_i.  The
+    matrix was checked symplectic when it was built, so its polynomial is
+    palindromic: only e_1..e_g are needed, and c[k] = c[2g - k] gives the
+    rest.  For p_1..p_g only A, ..., A^h with h = ceil(g/2) are formed,
+    since tr A^(a+b) = sum_ij (A^a)_ij (A^b)_ji.  For an integer matrix
+    every division by k is exact.
     """
-    symplectic = isinstance(matrix, SpMatrix)
-    rows = matrix.rows if symplectic else matrix
-    N = len(rows)
-    if any(len(row) != N for row in rows):
-        raise ValueError("matrix must be square")
-    K = N // 2 if symplectic else N
-    h = (K + 1) // 2
+    rows, g = matrix.rows, matrix.lattice.genus
+    h = (g + 1) // 2
     cols = list(zip(*rows))
     powers = [rows]  # powers[a - 1] = A^a
     while len(powers) < h:
         powers.append([[sum(map(operator.mul, row, col)) for col in cols] for row in powers[-1]])
     traces = [0] + [sum(row[i] for i, row in enumerate(power)) for power in powers]
     top = list(itertools.chain.from_iterable(powers[-1]))
-    for b in range(1, K - h + 1):
+    for b in range(1, g - h + 1):
         flipped = itertools.chain.from_iterable(zip(*powers[b - 1]))
         traces.append(sum(map(operator.mul, top, flipped)))  # tr A^h A^b
     e = [1]
-    for k in range(1, K + 1):
+    for k in range(1, g + 1):
         total = sum(e[k - i] * traces[i] if i & 1 else -e[k - i] * traces[i] for i in range(1, k + 1))
         if total % k:
             raise AssertionError("characteristic polynomial of an integer matrix must be integral")
         e.append(total // k)
-    c = [0] * (N + 1)
+    c = [0] * (2 * g + 1)
     for k, ek in enumerate(e):
-        c[N - k] = -ek if k & 1 else ek
-    for k in range(N - K):
-        c[k] = c[N - k]
+        c[2 * g - k] = c[k] = -ek if k & 1 else ek
     return c
 
 
@@ -563,46 +554,27 @@ class AlexanderForm:
         return f"AlexanderForm({self.coeffs})"
 
 
-def alexander_fibered(monodromy: SpMatrix | Sequence[Sequence[int]]) -> AlexanderForm:
+def alexander_fibered(monodromy: SpMatrix) -> AlexanderForm:
     """Alexander form det(tI - M) / t^g of a fibered mapping torus.
 
     The coefficients come from the power traces of M and Newton's
-    identities (``_char_poly``).  Accepts a symplectic matrix, whose
-    polynomial is palindromic and so needs only g power traces, or raw
-    integer rows, which get all 2g and are checked through the palindrome
-    test that symplecticity forces on the characteristic polynomial.
+    identities (``_char_poly``); M is symplectic, so its polynomial is
+    palindromic and needs only g power traces.
     """
-    if not isinstance(monodromy, SpMatrix):
-        monodromy = tuple(tuple(map(operator.index, row)) for row in monodromy)
-        if len(monodromy) % 2:
-            raise ValueError("monodromy must act on an even-rank lattice")
     c = _char_poly(monodromy)
-    N = len(c) - 1
-    g = N // 2
-    if any(c[k] != c[N - k] for k in range(N + 1)):
-        raise ValueError(
-            "characteristic polynomial is not palindromic: matrix is not symplectic"
-        )
+    g = monodromy.lattice.genus
     return AlexanderForm([c[g + m] for m in range(g + 1)])
 
 
-def fibered_value(form: AlexanderForm, n0: int) -> int:
-    """Supertrace on Sym^{n0} of a twist-only word whose product P has ``form``.
+def alexander_cycle_value(form: AlexanderForm, n: int, g: int) -> int:
+    """Supertrace on Sym^n of a twist-only word whose product P has ``form``.
 
     Macdonald's formula: with c the coefficients of det(tI - P), the value
-    sum_k (-1)^k (n0 - k + 1) tr Lambda^k P is sum_k (n0 - k + 1) c[2g - k]
-    over k <= min(n0, 2g), since c[2g - k] = (-1)^k tr Lambda^k P; and
-    c[g + m] = c[g - m] = a(m), because c is monic and palindromic.
-    """
-    g = form.degree
-    return sum((n0 - k + 1) * form.a(g - k) for k in range(min(n0, 2 * g) + 1))
-
-
-def alexander_cycle_value(form: AlexanderForm, n: int, g: int) -> int:
-    """Weighted coefficient sum equal (up to sign) to the fibered supertrace.
-
-    With offset D = g - 1 - n the value is sum over i >= 1 of i * a(D + i),
-    the symmetric extension a(-m) = a(m) understood.
+    sum_k (-1)^k (n - k + 1) tr Lambda^k P is sum_k (n - k + 1) c[2g - k]
+    over k <= min(n, 2g), since c[2g - k] = (-1)^k tr Lambda^k P; and
+    c[g + m] = c[g - m] = a(m), because c is monic and palindromic.  With
+    i = n - k + 1 and offset D = g - 1 - n that is the sum over i >= 1 of
+    i * a(D + i), the symmetric extension a(-m) = a(m) understood.
     """
     if n < 0 or g < 0:
         raise ValueError("n and g must be nonnegative")

@@ -165,6 +165,15 @@ def test_unknown_example_exits_2():
     assert out.returncode == 2
 
 
+def test_argv_errors_are_one_line_and_exit_2():
+    for args, message in (
+        (["example", "s2xs2", "--m", "1.5", "--n", "2"], "argument --m: invalid int value: '1.5'"),
+        ([], "the following arguments are required: command"),
+    ):
+        out = run_cli(args)
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n"), args
+
+
 def test_bad_example_parameters_exit_2():
     out = run_cli(["example", "s1s3-sum", "--m", "1", "--n", "0"])
     assert out.returncode == 2

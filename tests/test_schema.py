@@ -5,8 +5,7 @@ every rejection.  The property tests draw mutated fixtures and hostile
 documents shaped like ``INPUT_SCHEMA`` and check the one-sided contract,
 and that the CLI's message for a rejected document is jsonschema's own.
 The compiled check answers what the interpreted walk in ``schema_walk``
-answers, on those documents, on the benchmark's documents and on small
-schemas drawn from ``KEYWORDS``.
+answers, on those documents and on the benchmark's documents.
 """
 
 import contextlib
@@ -67,15 +66,6 @@ def test_conforms_is_stricter_than_jsonschema_on_types():
         base["morse_cycle"]["n0"] = n0
         assert conforms(base) == (valid and type(n0) is str), n0
         assert (_schema_error(base) is None) == valid, n0
-
-
-def test_conforms_refuses_what_it_does_not_read():
-    assert not conforms(1, {"type": "integer", "minimum": 0})
-    assert not conforms([1], {"type": "array", "items": [{"type": "integer"}]})
-    assert not conforms({}, {"type": "object", "additionalProperties": {"type": "integer"}})
-    assert not conforms(1, {"$schema": "http://json-schema.org/draft-04/schema#"})
-    assert not conforms([1], {"items": {"$id": "nested"}})
-    assert conforms(1, {"$schema": "http://json-schema.org/draft-07/schema#", "$id": "x"})
 
 
 # -- hypothesis: mutated fixtures and schema-shaped documents ---------------
@@ -227,38 +217,3 @@ def test_compiled_check_answers_what_the_walk_answers_on_benchmark_documents(tmp
             else:
                 node[last] = replacement
             assert conforms(mutated) == walk_conforms(mutated), path
-
-
-# Small schemas built from every keyword the check reads, rules of odd
-# types included, with one keyword it does not read now and then.
-_SUB = st.deferred(lambda: SCHEMAS)
-RULES = {
-    "type": st.sampled_from(["object", "array", "string", "integer", "number", "boolean",
-                             "null", ["integer"]]),
-    "const": st.sampled_from(["a", SCHEMA_VERSION, 1]),
-    "enum": st.lists(st.sampled_from(["a", "b", 1, None]), max_size=3),
-    "pattern": st.sampled_from(["^-?[0-9]+$", "a", "^$"]),
-    "anyOf": st.lists(_SUB, min_size=1, max_size=3),
-    "required": st.lists(st.sampled_from(["a", "b"]), max_size=2),
-    "properties": st.dictionaries(st.sampled_from(["a", "b", "c"]), _SUB, max_size=2),
-    "additionalProperties": st.sampled_from([False, True, {}]),
-    "items": _SUB | st.lists(_SUB, max_size=1),
-    "minItems": st.integers(0, 2),
-    "maxItems": st.integers(0, 3),
-    "minProperties": st.integers(0, 2),
-    "maxProperties": st.integers(0, 2),
-    "minimum": st.just(0),
-}
-SCHEMAS = st.lists(st.sampled_from(sorted(RULES)), max_size=4, unique=True).flatmap(
-    lambda keys: st.fixed_dictionaries({k: RULES[k] for k in keys}))
-VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-2, 2) | st.sampled_from(["a", "b", "7", ""]),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["a", "b", "c"]), inner, max_size=3),
-    max_leaves=12,
-)
-
-
-@PROPERTY
-@given(schema=SCHEMAS, value=VALUES)
-def test_compiled_check_answers_what_the_walk_answers_on_any_schema(schema, value):
-    assert conforms(value, schema) == walk_conforms(value, schema)

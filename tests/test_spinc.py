@@ -9,6 +9,8 @@ import time
 import unittest
 from fractions import Fraction
 
+import pytest
+
 from lagmatch.bareiss import Bareiss
 from lagmatch.spinc import (
     _shown,
@@ -285,6 +287,37 @@ class GradingTest(unittest.TestCase):
         self.assertTrue(divisibility_check((0, 0), 0, 4, 1))
         # torsion class with sections: 0 | 2n_gamma fails unless n_gamma = 0
         self.assertFalse(divisibility_check((0, 0), 2, 4, 1))
+
+
+def test_float_entries_are_rejected_not_truncated():
+    import numpy as np
+
+    desc = torus_descriptor()
+
+    def descriptor(lefschetz_points, signature):
+        return FibrationDescriptor(regions=desc.regions, round_circles=(), h2=desc.h2,
+                                   lefschetz_points=lefschetz_points, signature=signature)
+
+    for call in (
+        lambda: pairing((1.7,), (1,)),
+        lambda: grading_modulus((2.5, 4)),
+        lambda: taubes_convert((0.6, 1.2), desc),
+        lambda: descriptor(1.9, 0),
+        lambda: descriptor(0, 0.5),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    # bools and numpy integers are integers, and the results are Python ints
+    values = (
+        pairing((np.int64(2), True), (3, np.int32(4))),
+        grading_modulus((np.int64(-4), 6)),
+        grading_modulus((np.int64(-4),)),
+        *taubes_convert((np.int64(1), False), desc).c1,
+        descriptor(np.int64(1), True).lefschetz_points,
+        descriptor(np.int64(1), True).signature,
+    )
+    assert values == (10, 2, 4, 2, 2, 1, 1)
+    assert {type(v) for v in values} == {int}
 
 
 class HugeIntegerMessageTest(unittest.TestCase):

@@ -1,0 +1,65 @@
+"""No uncalled code in ``src/``: every public name has a caller outside the tests.
+
+Each public top-level function and class of ``lagmatch``, and each public
+method whose name is defined only once there, must appear as a word
+somewhere other than its own definition: elsewhere in ``src/``, in the
+acceptance suite, or in the benchmark, which looks some names up as
+strings.  A name that only the unit tests use is an input format, option
+or second implementation that the program does not need.
+"""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lagmatch"
+
+# Names kept with no caller outside the unit tests, each for a reason.
+ALLOWED = {
+    "cycle_composite": "the Sym-level composite is the reference the folded evaluation is tested against",
+    "twist_map": "the Sym-level lift of a twist, a reference for the twist images in the tests",
+    "SymplecticLattice.intersection_form": "the Gram matrix of the pairing, a reference in the exterior tests",
+}
+
+
+def _definitions():
+    """(qualified name, bare name, file, first line, last line) of each public name."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    defined = Counter(node.name for tree in trees.values() for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+
+    def span(node):
+        return min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno
+
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            yield (node.name, node.name, path, *span(node))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                            and defined[item.name] == 1):
+                        yield (f"{node.name}.{item.name}", item.name, path, *span(item))
+
+
+def _uncalled():
+    sources = {path: path.read_text(encoding="utf-8").splitlines() for path in SRC.glob("*.py")}
+    outside = "\n".join(
+        [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
+        + [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    )
+    for qualname, name, path, first, last in _definitions():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = sources[path]
+        rest = [own[:first - 1], own[last:]] + [lines for p, lines in sources.items() if p != path]
+        if not word.search(outside) and not any(word.search("\n".join(lines)) for lines in rest):
+            yield qualname
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """The allowlist is exactly the uncalled names: an entry that gains a caller leaves it."""
+    uncalled = set(_uncalled())
+    assert uncalled == ALLOWED.keys(), (sorted(uncalled - ALLOWED.keys()), sorted(ALLOWED.keys() - uncalled))

@@ -51,14 +51,6 @@ class MonomialModelTest(unittest.TestCase):
             for n in range(max(0, 2 * g - 1), 7):
                 self.assertEqual(len(basis(n, lat)), (n + 1 - g) * 4**g)
 
-    def test_from_ext_roundtrip(self):
-        lat = SymplecticLattice(2)
-        omega = ExtElement(lat, {(0, 2): Fraction(3), (1,): Fraction(-1, 2)})
-        x = SymClass.from_ext(3, omega, u_power=1)
-        self.assertEqual(x.coefficient(1, (0, 2)), Fraction(3))
-        self.assertEqual(x.coefficient(1, (1,)), Fraction(-1, 2))
-        self.assertEqual(x.coefficient(0, ()), 0)
-
     def test_linear_structure_cancels(self):
         lat = SymplecticLattice(1)
         x = SymClass.monomial(2, lat, 1, (), 5)

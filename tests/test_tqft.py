@@ -129,10 +129,10 @@ def test_single_twist_goldens():
 
 
 def test_alexander_goldens():
-    assert alexander_fibered(ANOSOV).coeffs == (-3, 1)
+    assert alexander_fibered(SpMatrix(SymplecticLattice(1), ANOSOV)).coeffs == (-3, 1)
     ident = SpMatrix(SymplecticLattice(1), [[1, 0], [0, 1]])
     assert alexander_fibered(ident).coeffs == (-2, 1)
-    assert alexander_fibered([]).coeffs == (1,)
+    assert alexander_fibered(SpMatrix(SymplecticLattice(0), [])).coeffs == (1,)
 
 
 def test_alexander_form_symmetric_extension():
@@ -689,7 +689,7 @@ def _oracle_evaluate_cycle(cycle):
             stages.append(tqft._insert_a1(lattice))
             pending = frame if pending is None else frame @ tqft._after_first_pair(pending)
     if not stages:
-        return tqft.fibered_value(alexander_fibered(pending), cycle.n0)
+        return _macdonald(pending.rows, cycle.n0)
     last = None if pending is None else tqft._twist_image(pending)
     rank = 2 * cycle.fibers[0]
     total = 0
@@ -925,31 +925,27 @@ def _macdonald(rows, n0):
 
 
 def test_char_poly_matches_faddeev_leverrier():
-    """The symplectic half path and the full path on raw rows agree with the
-    old algorithm on seeded products; the full path also on any integer matrix."""
+    """The half path of power traces agrees with the old algorithm on seeded products."""
     rng = random.Random(71)
     for N in range(0, 17, 2):
         lat = SymplecticLattice(N // 2)
         for _ in range(6):
             m = random_sp(rng, lat, length=rng.randint(1, 12))
-            oracle = _oracle_char_poly(m.rows)
-            assert _char_poly(m) == oracle, (N, m.rows)
-            assert _char_poly(m.rows) == oracle, (N, m.rows)
-        for _ in range(6):
-            rows = [[rng.randint(-9, 9) for _ in range(N)] for _ in range(N)]
-            assert _char_poly(rows) == _oracle_char_poly(rows), (N, rows)
+            assert _char_poly(m) == _oracle_char_poly(m.rows), (N, m.rows)
 
 
-def test_non_symplectic_rows_are_not_palindromic():
-    rng = random.Random(72)
-    with pytest.raises(ValueError, match="not palindromic: matrix is not symplectic"):
-        alexander_fibered([[1, 1], [0, 2]])
-    for N in (2, 4, 6):
-        rows = [[rng.randint(-3, 3) for _ in range(N)] for _ in range(N)]
-        c = _oracle_char_poly(rows)
-        assert c != c[::-1]
-        with pytest.raises(ValueError, match="not palindromic: matrix is not symplectic"):
-            alexander_fibered(rows)
+def test_alexander_cycle_value_is_macdonalds_sum():
+    """The weighted coefficient sum of the Alexander form equals
+    sum_k (n0 - k + 1) c[2g - k] with c from Faddeev-LeVerrier, up to and
+    past the min(n0, 2g) cap."""
+    rng = random.Random(73)
+    for g in range(9):
+        lat = SymplecticLattice(g)
+        for _ in range(3):
+            m = random_sp(rng, lat, length=rng.randint(1, 10))
+            form = alexander_fibered(m)
+            for n0 in range(2 * g + 3):
+                assert alexander_cycle_value(form, n0, g) == _macdonald(m.rows, n0), (g, n0, m.rows)
 
 
 def test_float_entries_are_rejected_not_truncated():
@@ -966,13 +962,10 @@ def test_float_entries_are_rejected_not_truncated():
         MorseCycle([1.0], [ElementaryMove.twist(SpMatrix.identity(lat))], 1)
     with pytest.raises(TypeError):
         MorseCycle([1], [ElementaryMove.twist(SpMatrix.identity(lat))], 1.0)
-    with pytest.raises(TypeError):
-        alexander_fibered([[2.0, 1], [1, 1]])
     # bools and numpy integers are integers
     assert SpMatrix(lat, [[True, False], [np.int64(0), 1]]).rows == ((1, 0), (0, 1))
     assert lat.check_vector((np.int32(1), False)) == (1, 0)
     assert ElementaryMove.up((np.int64(0), 1)).circle == (0, 1)
-    assert alexander_fibered([[np.int64(2), 1], [1, 1]]).coeffs == (-3, 1)
 
 
 def test_tqft_eval_dense_genus_eight_two_twists_stays_bounded():
