@@ -107,22 +107,6 @@ def _as_int_list(values: Any, what: str) -> tuple[int, ...]:
     return tuple(_as_int(v, f"{what}[{i}]") for i, v in enumerate(values))
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return value if abs(value) <= _MAX_JSON_INT else str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    raise TypeError(f"unrenderable report value {value!r}")
-
-
-# Types json.loads gives that hold no float and nothing to walk into.
-_FLOATLESS_LEAVES = {int, str, bool, type(None)}
-
-
 def _reject_floats(value: Any, path: tuple[Any, ...] = ()) -> None:
     """Floats are only legal inside the cz section's sample matrices."""
     if path == ("cz",):
@@ -131,8 +115,6 @@ def _reject_floats(value: Any, path: tuple[Any, ...] = ()) -> None:
         dotted = ".".join(str(p) for p in path) or "(root)"
         raise _Exit(2, f"floating point value at {dotted}: only cz samples may be floats")
     if isinstance(value, list):
-        if set(map(type, value)) <= _FLOATLESS_LEAVES:  # a row of leaves, checked in one pass
-            return
         for i, v in enumerate(value):
             _reject_floats(v, path + (i,))
     elif isinstance(value, dict):
@@ -190,7 +172,7 @@ def _load_document(source: str | None) -> dict:
         if err is not None:
             where = "/".join(str(p) for p in err.absolute_path) or "(root)"
             raise _Exit(2, f"schema violation at {where}: {err.message}")
-    _reject_floats(doc)
+        _reject_floats(doc)  # conforms takes exact ints, and only cz holds numbers
     return doc
 
 
@@ -281,12 +263,11 @@ def cmd_dim(args: argparse.Namespace) -> dict:
         "signature": descriptor.signature,
         "spinc": [],
     }
+    fiber_chis = [
+        sum(2 - 2 * comp.genus for comp in region.fibers) for region in descriptor.regions
+    ]
     for spinc, beta in _parse_spinc_entries(doc, descriptor):
         two_d = common_fiber_pairing(spinc, descriptor)
-        fiber_chis = [
-            sum(2 - 2 * comp.genus for comp in region.fibers)
-            for region in descriptor.regions
-        ]
         nu = nu_function(fiber_chis, two_d)
         adm = admissibility(spinc, descriptor)
         c1_sq = c1_squared(spinc, descriptor.h2)
@@ -354,8 +335,8 @@ def cmd_tqft_eval(args: argparse.Namespace) -> dict:
     if fibered:  # one Alexander form gives the value and the cross-check
         matrix = cycle.moves[0].matrix
         assert matrix is not None
-        form = alexander_fibered(matrix)
-        value = alexander_cycle_value(form, cycle.n0, cycle.fibers[0])
+        coeffs = alexander_fibered(matrix)
+        value = alexander_cycle_value(coeffs, cycle.n0, cycle.fibers[0])
     else:
         value = evaluate_cycle(cycle)
     dims = [poincare_polynomial_dimension(cycle.nu(j), g) for j, g in enumerate(cycle.fibers)]
@@ -379,7 +360,7 @@ def cmd_tqft_eval(args: argparse.Namespace) -> dict:
         # The value is the weighted coefficient sum, so they agree by
         # construction; the tests check the sum against the graded trace.
         report["fibered_crosscheck"] = {
-            "alexander_coefficients": list(form.coeffs),
+            "alexander_coefficients": list(coeffs),
             "weighted_coefficient_sum": value,
             "agrees": True,
         }
@@ -447,41 +428,57 @@ def cmd_cz(args: argparse.Namespace) -> dict:
 # -- rendering and entry point ------------------------------------------
 
 
+_NONE = type(None)
+_JSON_KINDS = {str: str, int: int, bool: bool, _NONE: _NONE, list: list, tuple: list, dict: dict}
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _kind(value: Any) -> type:
+    """The JSON type ``value`` renders as, in both formats.
+
+    A subclass, such as a NamedTuple, renders as its base and a tuple as a
+    list; anything else is refused with ``TypeError``.
+    """
+    kind = type(value)
+    if kind in _JSON_KINDS:
+        return _JSON_KINDS[kind]
+    for base in (str, int, tuple, list, dict):
+        if isinstance(value, base):
+            return _JSON_KINDS[base]
+    raise TypeError(f"unrenderable report value {value!r}")
+
+
 def _human_lines(value: Any, prefix: str, out: list[str]) -> None:
-    if isinstance(value, dict):
+    kind = _kind(value)
+    if kind is dict:
         for k, v in value.items():
             _human_lines(v, f"{prefix}.{k}" if prefix else str(k), out)
-    elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+    elif kind is list and any(_kind(v) in (dict, list) for v in value):
         for i, v in enumerate(value):
             _human_lines(v, f"{prefix}[{i}]", out)
-    elif isinstance(value, list):
-        out.append(f"{prefix}: [{', '.join(str(v) for v in value)}]")
+    elif kind is list:
+        out.append(f"{prefix}: [{', '.join(map(str, value))}]")
     else:
         out.append(f"{prefix}: {value}")
 
 
-_quote = json.encoder.encode_basestring_ascii
-_JSON_TYPES = {str, int, bool, type(None), list, tuple, dict}
-_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
-
-
 def _json_text(value: Any, pad: str = "") -> str:
-    """``json.dumps(_jsonable(value), sort_keys=True, indent=2)`` in one walk.
+    """``json.dumps(value, sort_keys=True, indent=2)`` in one walk.
 
     With an ``indent``, ``json`` encodes through its pure-Python generators;
     this writer builds each container with one join and quotes strings in C.
-    It reads types as ``_jsonable`` does and raises its ``TypeError`` on
-    anything else.  Report keys are strings.
+    Types are read by ``_kind``, and ints beyond 2^53 - 1 are quoted
+    strings.  ``tests/test_cli.py`` checks both formats against oracles
+    that render a converted copy of the report.  Report keys are strings.
     """
-    kind = type(value)
-    if kind not in _JSON_TYPES:  # a subclass, such as a NamedTuple, renders as its base
-        kind = next((t for t in (str, int, list, tuple, dict) if isinstance(value, t)), kind)
+    kind = _kind(value)
     if kind is str:
         return _quote(value)
     if kind is int:
         small = -_MAX_JSON_INT <= value <= _MAX_JSON_INT
         return int.__repr__(value) if small else _quote(str(value))
-    if kind is bool or value is None:
+    if kind is bool or kind is _NONE:
         return _JSON_CONSTANTS[value]
     inner = pad + "  "
     if kind is dict:
@@ -490,23 +487,20 @@ def _json_text(value: Any, pad: str = "") -> str:
         items = [f"{_quote(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
         body = (",\n" + inner).join(items)
         return f"{{\n{inner}{body}\n{pad}}}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        body = (",\n" + inner).join([_json_text(v, inner) for v in value])
-        return f"[\n{inner}{body}\n{pad}]"
-    raise TypeError(f"unrenderable report value {value!r}")
+    if not value:
+        return "[]"
+    body = (",\n" + inner).join([_json_text(v, inner) for v in value])
+    return f"[\n{inner}{body}\n{pad}]"
 
 
 def _render(report: dict, as_json: bool) -> str:
     try:
         if as_json:
             return _json_text(report) + "\n"
-        data = _jsonable(report)
+        lines: list[str] = []
+        _human_lines(report, "", lines)
     except ValueError:  # an int longer than the interpreter's int_max_str_digits
         raise _Exit(2, "result too long to print: an integer has too many digits") from None
-    lines: list[str] = []
-    _human_lines(data, "", lines)
     return "\n".join(lines) + "\n"
 
 

@@ -8,8 +8,9 @@ and one or more sections; each CLI subcommand reads the sections it needs
 Integers may be written as JSON numbers or as digit strings ("-123") so
 that values beyond 53 bits survive JSON round trips; floating point
 numbers are rejected everywhere except inside ``cz`` sample matrices.
-That float rule is enforced by the CLI after validation, since JSON Schema
-alone cannot distinguish 2 from 2.0.
+JSON Schema alone cannot tell 2 from 2.0, and ``conforms`` takes exact
+ints, so the CLI enforces that float rule on the documents that
+jsonschema accepts and ``conforms`` does not.
 
 Valid documents are accepted by ``conforms``, a standard-library check
 against ``INPUT_SCHEMA`` alone, of the few draft-07 keywords it uses,

@@ -18,8 +18,9 @@ reports that short-circuit explicitly.
 For a fibration with no surgeries at all (twists only, with monodromy
 the product M), the evaluation collapses to coefficients of the
 characteristic polynomial of M (Macdonald's formula for Sym^n of a
-surface): ``alexander_cycle_value`` is that weighted coefficient sum of
-the symmetrized form det(tI - M)/t^g that ``alexander_fibered`` computes.
+surface): ``alexander_cycle_value`` is that weighted sum of the
+coefficients (a_0, ..., a_g) of det(tI - M)/t^g = sum a_m (t^m + t^-m),
+the tuple that ``alexander_fibered`` returns.
 Words with a surgery are pushed through the folded move images.
 """
 
@@ -516,73 +517,28 @@ def _char_poly(matrix: SpMatrix) -> list[int]:
     return c
 
 
-class AlexanderForm:
-    """Symmetrized palindromic polynomial sum a_m (t^m + t^-m), m = 0..d.
+def alexander_fibered(monodromy: SpMatrix) -> tuple[int, ...]:
+    """Coefficients (a_0, ..., a_g) of the Alexander form det(tI - M) / t^g.
 
-    Stored as the coefficient tuple (a_0, ..., a_d) with trailing zeros
-    trimmed and the overall sign normalized so the highest-index nonzero
-    coefficient is positive.  ``a(m)`` extends symmetrically to negative m.
+    The form is sum a_m (t^m + t^-m) with a_m = c[g + m], c from
+    ``_char_poly``.  M is symplectic, so c is monic and palindromic: a_g = 1,
+    and c[g - m] = a_m gives the other half.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int]):
-        cleaned = [operator.index(c) for c in coeffs]
-        while len(cleaned) > 1 and cleaned[-1] == 0:
-            cleaned.pop()
-        if not cleaned or all(c == 0 for c in cleaned):
-            raise ValueError("the zero polynomial has no Alexander form")
-        if cleaned[-1] < 0:
-            cleaned = [-c for c in cleaned]
-        self.coeffs = tuple(cleaned)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def a(self, m: int) -> int:
-        m = abs(m)
-        return self.coeffs[m] if m <= self.degree else 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AlexanderForm) and other.coeffs == self.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"AlexanderForm({self.coeffs})"
+    return tuple(_char_poly(monodromy)[monodromy.lattice.genus:])
 
 
-def alexander_fibered(monodromy: SpMatrix) -> AlexanderForm:
-    """Alexander form det(tI - M) / t^g of a fibered mapping torus.
-
-    The coefficients come from the power traces of M and Newton's
-    identities (``_char_poly``); M is symplectic, so its polynomial is
-    palindromic and needs only g power traces.
-    """
-    c = _char_poly(monodromy)
-    g = monodromy.lattice.genus
-    return AlexanderForm([c[g + m] for m in range(g + 1)])
-
-
-def alexander_cycle_value(form: AlexanderForm, n: int, g: int) -> int:
-    """Supertrace on Sym^n of a twist-only word whose product P has ``form``.
+def alexander_cycle_value(coeffs: Sequence[int], n: int, g: int) -> int:
+    """Supertrace on Sym^n of a twist-only word whose product P has the
+    Alexander coefficients ``coeffs`` = (a_0, ..., a_g).
 
     Macdonald's formula: with c the coefficients of det(tI - P), the value
     sum_k (-1)^k (n - k + 1) tr Lambda^k P is sum_k (n - k + 1) c[2g - k]
     over k <= min(n, 2g), since c[2g - k] = (-1)^k tr Lambda^k P; and
-    c[g + m] = c[g - m] = a(m), because c is monic and palindromic.  With
-    i = n - k + 1 and offset D = g - 1 - n that is the sum over i >= 1 of
-    i * a(D + i), the symmetric extension a(-m) = a(m) understood.
+    c[2g - k] = a_|g - k|, because c is palindromic.
     """
-    if n < 0 or g < 0:
-        raise ValueError("n and g must be nonnegative")
-    D = g - 1 - n
-    top = form.degree
-    # a(D + i) vanishes unless |D + i| <= top.
-    terms = range(max(1, -top - D), top - D + 1)
-    return sum(i * form.a(D + i) for i in terms)
+    if len(coeffs) != g + 1:
+        raise ValueError(f"a genus-{g} Alexander form has {g + 1} coefficients, got {len(coeffs)}")
+    return sum((n - k + 1) * coeffs[abs(g - k)] for k in range(min(n, 2 * g) + 1))
 
 
 def weighted_exterior_dimension(d: int, g: int) -> int:

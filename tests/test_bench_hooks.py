@@ -5,6 +5,7 @@ and ``lagmatch.tqft`` by name; a refactor that renames one of them breaks
 traced runs, and these tests fail first.  They only read ``perfbench/``.
 """
 
+import json
 import os
 import sys
 
@@ -60,26 +61,36 @@ def test_tracing_installs_and_restores():
     assert tracer.spans
 
 
-def test_tracing_drives_the_cz_layer(capsys):
-    """The hooks on conley_zehnder and _reject_floats read the cz samples and result."""
+def test_tracing_drives_the_cz_layer(tmp_path, capsys):
+    """The hooks on conley_zehnder and _reject_floats read the cz samples and
+    result, and the float walk runs only on a document that jsonschema
+    accepts and ``conforms`` refuses."""
     tracing = _tracing()
     from lagmatch import cli
     from lagmatch.fixtures import FIXTURES
 
+    with_float = dict(FIXTURES["rotation-path"], query={"n": 1.0})
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(with_float))
     before = _namespaces()
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
         assert cli.main(["cz", "--input", "fixture:rotation-path", "--json"]) == 0
+        valid = {span[0] for span in tracer.spans}
+        assert cli.main(["cz", "--input", str(path), "--json"]) == 2
     finally:
         tracer.restore()
     assert _namespaces() == before
     names = {span[0] for span in tracer.spans}
-    assert {"czindex", "float_walk"} <= names
+    assert "czindex" in valid and "float_walk" not in valid
+    assert "float_walk" in names
     (samples,) = FIXTURES["rotation-path"]["cz"]["paths"]
     assert tracer.counts["czindex.samples"] == len(samples)
     assert tracer.counts["czindex.crossings"] == 0
-    assert '"interior_crossings": 0' in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert '"interior_crossings": 0' in captured.out
+    assert captured.err == "error: floating point value at query.n: only cz samples may be floats\n"
 
 
 def test_tracing_drives_the_composite():

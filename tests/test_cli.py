@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagmatch import cli
-from lagmatch.cli import _jsonable, main
+from lagmatch.cli import main
 from lagmatch.fixtures import FIXTURES
 
 
@@ -324,6 +324,42 @@ def test_repeat_runs_identical():
 
 
 # -- renderer unit checks ---------------------------------------------------
+
+_MAX_JSON_INT = 2**53 - 1
+
+
+def _jsonable(value):
+    """The copy both formats once rendered from: ints beyond 2^53 - 1 as
+    strings, tuples as lists, and a TypeError on anything else."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return value if abs(value) <= _MAX_JSON_INT else str(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    raise TypeError(f"unrenderable report value {value!r}")
+
+
+def _human_lines(value, prefix, out):
+    """The key/value renderer as first written, over a ``_jsonable`` copy."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _human_lines(v, f"{prefix}.{k}" if prefix else str(k), out)
+    elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        for i, v in enumerate(value):
+            _human_lines(v, f"{prefix}[{i}]", out)
+    elif isinstance(value, list):
+        out.append(f"{prefix}: [{', '.join(str(v) for v in value)}]")
+    else:
+        out.append(f"{prefix}: {value}")
+
+
+def _oracle_text(report):
+    lines = []
+    _human_lines(_jsonable(report), "", lines)
+    return "\n".join(lines) + "\n"
 
 
 def test_jsonable_big_ints():
@@ -698,13 +734,21 @@ def test_json_writer_matches_on_every_report(capsys):
     assert {r["command"] for r in reports} == {"dim", "tqft-eval", "cz", "gradings", "example"}
 
 
+# 300 examples of up to 40 leaves each take a few seconds.
+@settings(max_examples=300, deadline=None)
+@given(report=st.dictionaries(_KEYS, _VALUES, max_size=5))
+def test_text_renderer_matches_the_jsonable_oracle(report):
+    assert cli._render(report, False) == _oracle_text(report)
+
+
 def test_json_writer_refuses_what_jsonable_refuses():
-    for bad in ({"a": [1, 2.5]}, {"b": {"c": {1, 2}}}, {"d": (object,)}):
+    for bad in ({"a": [1, 2.5]}, {"b": {"c": {1, 2}}}, {"d": (object,)}, {"e": [[1], 2.5]}):
         with pytest.raises(TypeError) as from_jsonable:
             _jsonable(bad)
-        with pytest.raises(TypeError) as from_writer:
-            cli._render(bad, True)
-        assert str(from_writer.value) == str(from_jsonable.value)
+        for as_json in (True, False):
+            with pytest.raises(TypeError) as from_writer:
+                cli._render(bad, as_json)
+            assert str(from_writer.value) == str(from_jsonable.value), as_json
 
 
 @pytest.mark.parametrize("as_json", [True, False])

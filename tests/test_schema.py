@@ -146,8 +146,21 @@ DOCUMENTS = mutated_fixtures() | shaped(INPUT_SCHEMA).filter(lambda d: isinstanc
 @PROPERTY
 @given(doc=DOCUMENTS)
 def test_conforms_implies_jsonschema_accepts(doc):
+    """jsonschema accepts a conforming document, and the float walk, which
+    the CLI skips on one, finds nothing in it."""
     if conforms(doc):
         assert _schema_error(doc) is None
+        cli._reject_floats(doc)
+
+
+def test_numbers_are_due_only_under_cz():
+    """``conforms`` takes exact ints, so only a ``"number"`` rule lets a float
+    through, and the float walk skips ``cz``: on a conforming document the
+    walk has nothing to find."""
+    sections = INPUT_SCHEMA["properties"]
+    types = {name: {sub.get("type") for sub in _subschemas(rule)} for name, rule in sections.items()}
+    assert "number" in types["cz"]
+    assert [name for name, found in types.items() if "number" in found] == ["cz"]
 
 
 @PROPERTY
