@@ -263,9 +263,7 @@ def cmd_dim(args: argparse.Namespace) -> dict:
         "signature": descriptor.signature,
         "spinc": [],
     }
-    fiber_chis = [
-        sum(2 - 2 * comp.genus for comp in region.fibers) for region in descriptor.regions
-    ]
+    fiber_chis = [region.fiber_chi for region in descriptor.regions]
     for spinc, beta in _parse_spinc_entries(doc, descriptor):
         two_d = common_fiber_pairing(spinc, descriptor)
         nu = nu_function(fiber_chis, two_d)

@@ -134,10 +134,6 @@ class ExtElement:
         return cls(lattice, {(): Fraction(c)})
 
     @classmethod
-    def generator(cls, lattice: SymplecticLattice, index: int) -> "ExtElement":
-        return cls(lattice, {(index,): Fraction(1)})
-
-    @classmethod
     def from_vector(cls, lattice: SymplecticLattice, coords: Sequence[int]) -> "ExtElement":
         coords = lattice.check_vector(coords)
         return cls(lattice, {(i,): Fraction(c) for i, c in enumerate(coords) if c})

@@ -45,6 +45,10 @@ class Region(NamedTuple):
     chi_base: int
     fibers: tuple[FiberComponent, ...]
 
+    @property
+    def fiber_chi(self) -> int:
+        return sum(2 - 2 * comp.genus for comp in self.fibers)
+
 
 @dataclass(frozen=True)
 class H2Model:
@@ -143,10 +147,7 @@ def euler_characteristic(descriptor: FibrationDescriptor) -> int:
 
     Round-handle circles contribute zero regardless of orientability.
     """
-    total = 0
-    for region in descriptor.regions:
-        chi_fiber = sum(2 - 2 * comp.genus for comp in region.fibers)
-        total += region.chi_base * chi_fiber
+    total = sum(region.chi_base * region.fiber_chi for region in descriptor.regions)
     return total + descriptor.lefschetz_points
 
 

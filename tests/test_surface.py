@@ -1,11 +1,12 @@
 """No uncalled code in ``src/``: every public name has a caller outside the tests.
 
 Each public top-level function and class of ``lagmatch``, and each public
-method whose name is defined only once there, must appear as a word
-somewhere other than its own definition: elsewhere in ``src/``, in the
-acceptance suite, or in the benchmark, which looks some names up as
-strings.  A name that only the unit tests use is an input format, option
-or second implementation that the program does not need.
+method whose name is defined only once there, must be read by code other
+than its own definition: as a name, an attribute or an imported name
+elsewhere in ``src/`` (words in docstrings and comments do not count), or
+as a word in the acceptance suite or the benchmark, which looks some names
+up as strings.  A name that only the unit tests use is an input format,
+option or second implementation that the program does not need.
 """
 
 import ast
@@ -21,6 +22,7 @@ ALLOWED = {
     "cycle_composite": "the Sym-level composite is the reference the folded evaluation is tested against",
     "twist_map": "the Sym-level lift of a twist, a reference for the twist images in the tests",
     "SymplecticLattice.intersection_form": "the Gram matrix of the pairing, a reference in the exterior tests",
+    "SpMatrix.inverse": "the frame oracles in the exterior and tqft tests compare against it",
 }
 
 
@@ -45,17 +47,28 @@ def _definitions():
                         yield (f"{node.name}.{item.name}", item.name, path, *span(item))
 
 
+def _reads(tree):
+    """(name, line) of each name, attribute and imported name the code of a module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
 def _uncalled():
-    sources = {path: path.read_text(encoding="utf-8").splitlines() for path in SRC.glob("*.py")}
+    reads = {path: list(_reads(ast.parse(path.read_text(encoding="utf-8")))) for path in SRC.glob("*.py")}
     outside = "\n".join(
         [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
         + [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
     )
     for qualname, name, path, first, last in _definitions():
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        own = sources[path]
-        rest = [own[:first - 1], own[last:]] + [lines for p, lines in sources.items() if p != path]
-        if not word.search(outside) and not any(word.search("\n".join(lines)) for lines in rest):
+        if re.search(rf"\b{re.escape(name)}\b", outside):
+            continue
+        if not any(read == name and (p != path or not first <= line <= last)
+                   for p, lines in reads.items() for read, line in lines):
             yield qualname
 
 

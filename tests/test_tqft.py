@@ -34,9 +34,7 @@ from lagmatch import tqft
 from lagmatch.tqft import (
     _char_poly,
     _contract_a1,
-    _down_image,
-    _twist_image,
-    _up_image,
+    _move_image,
     ElementaryMove,
     MorseCycle,
     NonClosingCycle,
@@ -165,16 +163,16 @@ def test_move_images_match_exterior_reference():
     for g in range(4):
         lat, target = SymplecticLattice(g), SymplecticLattice(g + 1)
         include = LatticeProjection.include_after_first_pair(lat)
-        a1 = ExtElement.generator(target, 0)
+        a1 = ExtElement(target, {(0,): 1})
         monomials = [
             s for k in range(lat.rank + 1) for s in itertools.combinations(range(lat.rank), k)
         ]
         for _ in range(3):
             twist = random_sp(rng, lat)
-            twist_image = _twist_image(twist)
+            twist_image = _move_image(ElementaryMove.twist(twist), g)
             up_circle = random_primitive(rng, target.rank)
             up_frame_inv = adapted_basis(target, up_circle).inverse()
-            up_image = _up_image(up_circle, lat)
+            up_image = _move_image(ElementaryMove.up(up_circle), g)
             for s in monomials:
                 e_s = ExtElement(lat, {s: 1})
                 assert twist_image(s) == ext_power_action(twist, e_s).terms, (twist.rows, s)
@@ -185,13 +183,13 @@ def test_move_images_match_exterior_reference():
             down_circle = random_primitive(rng, lat.rank)
             frame = adapted_basis(lat, down_circle)
             kill = LatticeProjection.kill_first_pair(lat)
-            down_image = _down_image(down_circle, lat)
+            down_image = _move_image(ElementaryMove.down(down_circle), g)
             for s in monomials:
                 e_s = ExtElement(lat, {s: 1})
                 want = contract(lat.basis_vector(0), ext_power_action(frame, e_s), kill)
                 assert down_image(s) == want.terms, (down_circle, s)
-        separating_up = _up_image((0,) * target.rank, lat)
-        separating_down = _down_image((0,) * lat.rank, lat) if g else None
+        separating_up = _move_image(ElementaryMove.up((0,) * target.rank), g)
+        separating_down = _move_image(ElementaryMove.down((0,) * lat.rank), g) if g else None
         for s in monomials:
             assert separating_up(s) == {}
             assert separating_down is None or separating_down(s) == {}
@@ -382,10 +380,25 @@ def test_non_closing_cycles_rejected():
 
 
 def test_down_needs_genus_and_degree():
-    with pytest.raises(NonClosingCycle):
+    """The lifts check genus, then circle length, then separating, then
+    primitive, then degree."""
+    lat1 = SymplecticLattice(1)
+    with pytest.raises(NonClosingCycle, match="positive fiber genus"):
         down_map((0,) * 0, 1, SymplecticLattice(0))
-    with pytest.raises(NonClosingCycle):
-        down_map((1, 0), 0, SymplecticLattice(1))
+    with pytest.raises(NonClosingCycle, match="positive fiber genus"):
+        down_map((1,), 0, SymplecticLattice(0))
+    with pytest.raises(NonClosingCycle, match="symmetric degree n >= 1"):
+        down_map((1, 0), 0, lat1)
+    with pytest.raises(ValueError, match="^vector has length 0, lattice rank is 2$"):
+        down_map((), 0, lat1)
+    with pytest.raises(ValueError, match="^vector has length 2, lattice rank is 4$"):
+        up_map((0, 0), 0, lat1)
+    with pytest.raises(NonClosingCycle, match="symmetric degree n >= 1"):
+        down_map((0, 0), 0, lat1)
+    with pytest.raises(ValueError, match="^circle class must be primitive$"):
+        down_map((2, 0), 0, lat1)
+    with pytest.raises(ValueError, match="^circle class must be primitive$"):
+        up_map((2, 0, 0, 0), 0, lat1)
 
 
 # -- dimensions -----------------------------------------------------------
@@ -683,7 +696,7 @@ def _oracle_evaluate_cycle(cycle):
             pending = frame if pending is None else frame @ tqft._after_first_pair(pending)
     if not stages:
         return _macdonald(pending.rows, cycle.n0)
-    last = None if pending is None else tqft._twist_image(pending)
+    last = None if pending is None else ext_power_images(pending.rows)
     rank = 2 * cycle.fibers[0]
     total = 0
     for k in range(min(cycle.n0, rank) + 1):
@@ -787,9 +800,10 @@ def test_twist_run_words_match_the_composite():
         assert evaluate_cycle(cycle) == graded_trace(cycle), cycle
 
 
-def test_word_ending_in_up_twist_builds_no_trailing_power(monkeypatch):
+def test_word_ending_in_up_twist_builds_no_trailing_power():
     """No exterior power of a pending product is built: the evaluation ends
-    with its lowest down, into which every pending product folds."""
+    with its lowest down, into which every pending product folds, while the
+    same word read from fiber 0 ends with a product pending."""
     rng = random.Random(76)
     cases = []
     for g in (1, 2, 3):
@@ -804,15 +818,12 @@ def test_word_ending_in_up_twist_builds_no_trailing_power(monkeypatch):
             cycle = MorseCycle(fibers, moves, n0)
             cases.append((cycle, graded_trace(cycle)))
     assert sum(1 for _, value in cases if value) >= 4
-
-    def refuse(*args):
-        raise AssertionError("an exterior power of a twist was built")
-
-    monkeypatch.setattr(tqft, "_twist_image", refuse)
     for cycle, value in cases:
         assert evaluate_cycle(cycle) == value, cycle
-    with pytest.raises(AssertionError, match="an exterior power of a twist was built"):
-        _oracle_evaluate_cycle(cases[-1][0])
+        # evaluate_cycle reads the word from fiber 1, right after its down.
+        rotated = list(rotations(cycle.fibers, cycle.moves, cycle.n0))[1]
+        assert tqft._stages(rotated.moves, rotated.fibers)[1] is None
+        assert tqft._stages(cycle.moves, cycle.fibers)[1] is not None
 
 
 def test_after_first_pair_matches_the_checked_construction():
