@@ -9,7 +9,10 @@ Subcommands::
     lagmatch gradings  --input FILE   grading moduli and divisibility checks
 
 ``--input`` accepts a path, ``-`` for stdin, or ``fixture:NAME`` for one of
-the embedded documents.  Documents are validated against the published
+the embedded documents.  A well-formed document command line
+(``COMMAND --input X`` with an optional trailing ``--json``) is read
+directly; argparse parses every other spelling, prints help and words
+every rejection.  Documents are validated against the published
 JSON Schema (see ``lagmatch.schema``): ``conforms`` accepts valid ones and
 jsonschema words every rejection; every subcommand writes its report
 to stdout (``--json`` for JSON, key/value lines otherwise) and diagnostics
@@ -502,11 +505,11 @@ def _render(report: dict, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validate_threads() -> int:
+def _validate_threads() -> None:
     raw = os.environ.get("LAGMATCH_THREADS", "1")
-    if not re.fullmatch(r"[0-9]+", raw) or int(raw) < 1:
+    # Read the digits, not int(raw): a value past the digit limit is still valid.
+    if not re.fullmatch(r"[0-9]*[1-9][0-9]*", raw):
         raise _Exit(2, f"LAGMATCH_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -553,9 +556,30 @@ _COMMANDS = {
 }
 
 
+_DOCUMENT_COMMANDS = frozenset(("dim", "tqft-eval", "cz", "gradings"))
+
+
+def _direct_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives ``[C, "--input", X]`` or ``[C, "--input", X, "--json"]``.
+
+    C is a document subcommand and X is ``-`` or does not start with ``-``;
+    any other argv gives None and is left to argparse.
+    """
+    if len(argv) not in (3, 4) or not all(type(arg) is str for arg in argv):
+        return None
+    command, flag, source, *rest = argv
+    if command not in _DOCUMENT_COMMANDS or flag != "--input" or rest not in ([], ["--json"]):
+        return None
+    if source.startswith("-") and source != "-":
+        return None
+    return argparse.Namespace(command=command, input=source, json=bool(rest))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _direct_args(argv) or _build_parser().parse_args(argv)
         _validate_threads()
         text = _render(_COMMANDS[args.command](args), args.json)
     except _Exit as err:

@@ -370,15 +370,19 @@ class SpMatrix:
         return self
 
     def _is_symplectic(self) -> bool:
-        """M^T J M = J: column i pairs with columns i..n-1 as row i of J says."""
+        """M^T J M = J: column i pairs with columns i+1..n-1 as row i of J says.
+
+        A column pairs with itself to 0 for every integer vector, so the
+        diagonal is skipped.
+        """
         g = self.lattice.genus
         cols = list(zip(*self.rows))
-        duals = [_dual(g, col) for col in cols]
+        later = [_dual(g, col) for col in cols[1:]]  # later[i:] follow column i
         for i, col in enumerate(cols):
-            expected = [0] * (len(cols) - i)
+            expected = [0] * (len(cols) - i - 1)
             if i < g:
-                expected[g] = 1
-            if [sum(map(operator.mul, col, dual)) for dual in duals[i:]] != expected:
+                expected[g - 1] = 1
+            if [sum(map(operator.mul, col, dual)) for dual in later[i:]] != expected:
                 return False
         return True
 

@@ -169,6 +169,11 @@ def test_argv_errors_are_one_line_and_exit_2():
     for args, message in (
         (["example", "s2xs2", "--m", "1.5", "--n", "2"], "argument --m: invalid int value: '1.5'"),
         ([], "the following arguments are required: command"),
+        (["dim", "--input"], "argument --input: expected one argument"),
+        (["dim", "--input", "--json"], "argument --input: expected one argument"),
+        (["tqft-eval", "--input", "x.json", "--json", "extra"], "unrecognized arguments: extra"),
+        (["nope", "--input", "x"], "argument command: invalid choice: 'nope' "
+                                   "(choose from 'dim', 'tqft-eval', 'example', 'cz', 'gradings')"),
     ):
         out = run_cli(args)
         assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n"), args
@@ -201,6 +206,18 @@ def test_threads_validation_exits_2():
         env_extra={"LAGMATCH_THREADS": "0"},
     )
     assert out.returncode == 2
+    # Positivity is read from the digits: no int() past the digit limit.
+    out = run_cli(
+        ["example", "s2xs2", "--m", "0", "--n", "0"],
+        env_extra={"LAGMATCH_THREADS": "9" * 5000},
+    )
+    assert out.returncode == 0
+    out = run_cli(
+        ["example", "s2xs2", "--m", "0", "--n", "0"],
+        env_extra={"LAGMATCH_THREADS": "0" * 5000},
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"error: LAGMATCH_THREADS must be a positive integer, got {'0' * 5000!r}\n"
 
 
 def test_non_closing_cycle_exits_3():
@@ -490,13 +507,71 @@ def test_dim_reports_c1_squared_before_the_characteristic_check(capsys, c1, mess
 
 
 def test_parser_built_once_per_process(capsys):
+    """Document command lines build no parser; any other argv builds it once."""
     parser_class = cli.argparse.ArgumentParser
     cli._build_parser.cache_clear()
     with mock.patch.object(parser_class, "add_subparsers", autospec=True,
                            side_effect=parser_class.add_subparsers) as built:
         for _ in range(3):
             assert main(["dim", "--input", "fixture:torus-section-sum"]) == 0
+        assert built.call_count == 0
+        for _ in range(3):
+            assert main(["example", "s2xs2", "--m", "0", "--n", "0"]) == 0
     assert built.call_count == 1
+
+
+@pytest.mark.parametrize("spelling", [
+    ["--input=fixture:sphere-cycle"],
+    ["--input=fixture:sphere-cycle", "--json"],
+    ["--inp", "fixture:sphere-cycle"],
+    ["--inp", "fixture:sphere-cycle", "--json"],
+    ["--json", "--input", "fixture:sphere-cycle"],
+    ["--input", "fixture:nope", "--input", "fixture:sphere-cycle"],
+    ["--input", "fixture:nope", "--input", "fixture:sphere-cycle", "--json"],
+])
+def test_other_spellings_match_the_document_command_line(capsys, spelling):
+    fmt = ["--json"] if "--json" in spelling else []
+    assert main(["tqft-eval", "--input", "fixture:sphere-cycle", *fmt]) == 0
+    expected = capsys.readouterr()
+    assert cli._direct_args(["tqft-eval", *spelling]) is None
+    assert main(["tqft-eval", *spelling]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_input_that_looks_like_a_negative_number_is_a_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli._direct_args(["dim", "--input", "-5"]) is None
+    assert main(["dim", "--input", "-5"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot read input: [Errno 2] No such file or directory: '-5'\n")
+
+
+_ARGV_TOKEN = st.sampled_from(["dim", "tqft-eval", "example", "cz", "gradings", "--input",
+                                "--json", "-", "--", "-5", "-h", "", "a=b", "--input=x",
+                                "x.json", "fixture:sphere-cycle"])
+# Random lists rarely take the document shape, so half the draws start from it.
+_ARGV = st.one_of(
+    st.lists(_ARGV_TOKEN, max_size=5),
+    st.builds(lambda command, source, tail: [command, "--input", source, *tail],
+              _ARGV_TOKEN, _ARGV_TOKEN, st.lists(_ARGV_TOKEN, max_size=1)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_ARGV)
+def test_direct_args_agree_with_argparse(argv):
+    """Wherever the direct reading answers, argparse gives the same namespace."""
+    direct = cli._direct_args(argv)
+    if direct is not None:
+        assert vars(direct) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_direct_args_read_the_document_command_lines():
+    for command in ("dim", "tqft-eval", "cz", "gradings"):
+        for source in ("-", "", "x.json", "a=b"):
+            for fmt in ([], ["--json"]):
+                argv = [command, "--input", source, *fmt]
+                assert vars(cli._direct_args(argv)) == vars(cli._build_parser().parse_args(argv))
 
 
 def test_singular_intersection_form_exits_3():
