@@ -21,7 +21,8 @@ characteristic polynomial of M (Macdonald's formula for Sym^n of a
 surface): ``alexander_cycle_value`` is that weighted sum of the
 coefficients (a_0, ..., a_g) of det(tI - M)/t^g = sum a_m (t^m + t^-m),
 the tuple that ``alexander_fibered`` returns.
-Words with a surgery are pushed through the folded move images.
+A word with a surgery is one bordered determinant of integer matrices,
+the Fock-space form of the Frohman-Nicas torsion (``evaluate_cycle``).
 """
 
 from __future__ import annotations
@@ -371,6 +372,38 @@ def cycle_composite(cycle: MorseCycle) -> SymLinearMap:
     return composite
 
 
+def _series_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two power series truncated to the length of ``a``."""
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def _bird_det(matrix: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[t]/(t^(N+1)), without division.
+
+    Bird's algorithm (*A simple division-free algorithm for computing
+    determinants*, Inf. Process. Lett. 111, 2011): with mu(X) upper
+    triangular, mu(X)_ij = X_ij above the diagonal and mu(X)_ii = -(sum of
+    X_kk over k > i), iterate X <- mu(X) A from X = A; after h - 1 steps
+    X[0][0] = (-1)^(h-1) det A.
+    """
+    h = len(matrix)
+    x = matrix
+    for _ in range(h - 1):
+        tail = [0] * len(matrix[0][0])
+        mu = [None] * h
+        for i in range(h - 1, -1, -1):
+            mu[i] = [list(map(operator.neg, tail))] + x[i][i + 1:]
+            tail = list(map(operator.add, tail, x[i][i]))
+        x = [
+            [
+                list(map(sum, zip(*(_series_mul(m, matrix[i + k][j]) for k, m in enumerate(mu[i])))))
+                for j in range(h)
+            ]
+            for i in range(h)
+        ]
+    return x[0][0] if h & 1 else list(map(operator.neg, x[0][0]))
+
+
 def evaluate_cycle(cycle: MorseCycle) -> int:
     """Graded supertrace of the composite around a closed cycle.
 
@@ -378,7 +411,8 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     into n0 - k + 1 copies of Lambda^k, one per i, on each of which the
     composite acts as the composite C_k of the exterior-level maps.  The
     value is sum over k of (-1)^k (n0 - k + 1) tr C_k, canonical up to
-    one overall sign.
+    one overall sign: the coefficient of t^n0 in T(t) / (1 - t)^2, with
+    T(t) = sum_k (-1)^k t^k tr C_k.
 
     Every circle is checked primitive, in move order, first; then a
     separating circle gives the zero map and the value 0, before any frame
@@ -391,11 +425,26 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     surgery moves k and the fiber genus by the same step, so C_k at fiber 0
     is conjugate to C_k' at fiber r with k' = k + g_r - g_0, over
     Sym^{n0'} with n0' = n0 + g_r - g_0: the weight n0 - k + 1 is kept and
-    the sign changes by (-1)^(g_r - g_0).  Every e_S with
-    |S| <= min(n0', 2 g_r), the fewest starts of any fiber, is pushed
-    through the ``_stages`` of the rotated word, and a push stops once its
-    vector is zero.  The rotated word ends with a down, into which every
-    twist product folds, so nothing is pending at the end.
+    the sign changes by (-1)^(g_r - g_0).  On Lambda of first homology a
+    twist or a frame acts as Lambda(M), an up as the creation a_1 ^, and a
+    down as -1 times the contraction with the b_1 coordinate, so by Wick's
+    theorem T is one bordered determinant: the Fock-space form of the
+    Frohman-Nicas torsion and of Donaldson's route to Meng-Taubes
+    (*Topological field theories and formulae of Casson and Meng-Taubes*,
+    Geom. Topol. Monographs 2, 1999).  The walk carries the columns of
+    [R | V] from the identity on fiber r through every twist and frame; a
+    down records its b_1 row as (Phi_a, W_a) and drops rows a_1 and b_1,
+    an up inserts them as zeros and adds the column e_0 to V.  Then, with
+    L = R, h downs and inv (down, up) pairs with the down earlier,
+
+        T(t) = (-1)^(h(h-1)/2 + inv) det [[I - tL, tV], [Phi, -W]]
+             = (-1)^(h(h-1)/2 + inv) det E / p^(h-1),
+
+    p = det(I - tL), E = -p W - t p(t) sum_i t^i Phi L^i V, by
+    Cayley-Hamilton.  Only t^0 .. t^N with N = min(n0', 2 g_r) reach the
+    value, so all is mod t^(N+1): p from Newton's identities, E a scalar
+    when h = 1 and Bird's division-free determinant otherwise, and the
+    division by p^(h-1) exact since p_0 = 1.
     """
     for move, genus in zip(cycle.moves, cycle.fibers):
         if move.kind != "twist" and not move.separating:
@@ -405,25 +454,57 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     if any(move.separating for move in cycle.moves):
         return 0
     downs = [j for j, move in enumerate(cycle.moves) if move.kind == "down"]
-    r = (min(downs, key=cycle.fibers.__getitem__) + 1) % len(cycle.moves) if downs else 0
-    stages, pending = _stages(cycle.moves[r:] + cycle.moves[:r], cycle.fibers[r:] + cycle.fibers[:r])
-    if not stages:
-        assert pending is not None
-        return alexander_cycle_value(alexander_fibered(pending), cycle.n0, cycle.fibers[0])
-    assert pending is None
-    n0, rank = cycle.nu(r), 2 * cycle.fibers[r]
-    total = 0
-    for k in range(min(n0, rank) + 1):
-        weight = (-1) ** k * (n0 - k + 1)
-        for start in itertools.combinations(range(rank), k):
-            vector = {start: 1}
-            for stage in stages:
-                vector = _push(stage, vector)
-                if not vector:
-                    break
-            else:
-                total += weight * vector.get(start, 0)
-    return -total if (cycle.fibers[r] - cycle.fibers[0]) & 1 else total
+    if not downs:
+        product = functools.reduce(lambda p, move: move.matrix @ p, cycle.moves[1:], cycle.moves[0].matrix)
+        return alexander_cycle_value(alexander_fibered(product), cycle.n0, cycle.fibers[0])
+    r = (min(downs, key=cycle.fibers.__getitem__) + 1) % len(cycle.moves)
+    rank = 2 * cycle.fibers[r]
+    cols = None  # [R | V], by columns; R starts as the identity on fiber r
+    border: list[list[int]] = []  # (Phi_a | W_a), one row per down
+    inv = 0
+    for move, genus in zip(cycle.moves[r:] + cycle.moves[:r], cycle.fibers[r:] + cycle.fibers[:r]):
+        if move.kind == "twist":
+            rows = move.matrix.rows
+        elif move.kind == "down":
+            rows = adapted_basis(SymplecticLattice(genus), move.circle).rows
+            b1 = rows[genus]
+            border.append([sum(map(operator.mul, b1, col)) for col in cols])
+            rows = rows[1:genus] + rows[genus + 1:]
+        else:
+            frame = circle_frame(SymplecticLattice(genus + 1), move.circle).rows
+            rows = [row[1:genus + 1] + row[genus + 2:] for row in frame]
+            inv += len(border)
+        if cols is None:  # the first move, which is never a down
+            cols = [list(col) for col in zip(*rows)]
+        else:
+            cols = [[sum(map(operator.mul, row, col)) for row in rows] for col in cols]
+        if move.kind == "up":
+            cols.append([row[0] for row in frame])
+    h = len(border)
+    n0, n = cycle.nu(r), min(cycle.nu(r), rank)
+    loop = list(zip(*cols[:rank]))  # L = R back on fiber r, by rows
+    p = [-e if k & 1 else e for k, e in enumerate(_elementary(loop, n))]  # det(I - tL)
+    krylov = []  # V_b, L V_b, ..., L^(N-1) V_b for each b
+    for v in cols[rank:]:
+        run = [v]
+        for _ in range(n - 1):
+            run.append([sum(map(operator.mul, row, run[-1])) for row in loop])
+        krylov.append(run[:n])
+    phis = [row[:rank] for row in border]
+    ws = [row[rank:] + [0] * (rank + h - len(row)) for row in border]  # later ups pair as 0
+    e = [  # E_ab = -p W_ab - t p(t) sum_i t^i Phi_a L^i V_b
+        [
+            [-x * w - y for x, y in zip(p, _series_mul(p, [0] + [sum(map(operator.mul, phi, v)) for v in run]))]
+            for w, run in zip(w_row, krylov)
+        ]
+        for phi, w_row in zip(phis, ws)
+    ]
+    series = e[0][0] if h == 1 else _bird_det(e)
+    for _ in range(h - 1):
+        for m in range(1, n + 1):
+            series[m] -= sum(p[j] * series[m - j] for j in range(1, m + 1))
+    total = sum((n0 - k + 1) * c for k, c in enumerate(series))
+    return -total if (h * (h - 1) // 2 + inv + cycle.fibers[r] - cycle.fibers[0]) & 1 else total
 
 
 class ConnectedSumReport(NamedTuple):
@@ -459,37 +540,44 @@ def connected_sum_invariant(cycle: MorseCycle) -> ConnectedSumReport:
 # -- the fibered (no-surgery) case ------------------------------------
 
 
-def _char_poly(matrix: SpMatrix) -> list[int]:
-    """Coefficients c[0..2g] of det(tI - A) = sum c[k] t^k, from power traces.
+def _elementary(rows: Sequence[Sequence[int]], m: int) -> list[int]:
+    """e_0, ..., e_m of the eigenvalues of a square integer matrix A, from power traces.
 
-    With e_k the k-th elementary symmetric function of the eigenvalues,
-    c[2g - k] = (-1)^k e_k, and Newton's identities give e_k from the power
-    traces p_i = tr A^i: k e_k = sum_{i <= k} (-1)^(i-1) e_(k-i) p_i.  The
-    matrix was checked symplectic when it was built, so its polynomial is
-    palindromic: only e_1..e_g are needed, and c[k] = c[2g - k] gives the
-    rest.  For p_1..p_g only A, ..., A^h with h = ceil(g/2) are formed,
-    since tr A^(a+b) = sum_ij (A^a)_ij (A^b)_ji.  For an integer matrix
-    every division by k is exact.
+    Newton's identities give e_k from the power traces p_i = tr A^i:
+    k e_k = sum_{i <= k} (-1)^(i-1) e_(k-i) p_i.  For p_1..p_m only A, ...,
+    A^h with h = ceil(m/2) are formed, since tr A^(a+b) = sum_ij (A^a)_ij
+    (A^b)_ji.  For an integer matrix every division by k is exact.
     """
-    rows, g = matrix.rows, matrix.lattice.genus
-    h = (g + 1) // 2
+    h = (m + 1) // 2
     cols = list(zip(*rows))
     powers = [rows]  # powers[a - 1] = A^a
     while len(powers) < h:
         powers.append([[sum(map(operator.mul, row, col)) for col in cols] for row in powers[-1]])
     traces = [0] + [sum(row[i] for i, row in enumerate(power)) for power in powers]
     top = list(itertools.chain.from_iterable(powers[-1]))
-    for b in range(1, g - h + 1):
+    for b in range(1, m - h + 1):
         flipped = itertools.chain.from_iterable(zip(*powers[b - 1]))
         traces.append(sum(map(operator.mul, top, flipped)))  # tr A^h A^b
     e = [1]
-    for k in range(1, g + 1):
+    for k in range(1, m + 1):
         total = sum(e[k - i] * traces[i] if i & 1 else -e[k - i] * traces[i] for i in range(1, k + 1))
         if total % k:
             raise AssertionError("characteristic polynomial of an integer matrix must be integral")
         e.append(total // k)
+    return e
+
+
+def _char_poly(matrix: SpMatrix) -> list[int]:
+    """Coefficients c[0..2g] of det(tI - A) = sum c[k] t^k.
+
+    With e_k the k-th elementary symmetric function of the eigenvalues,
+    c[2g - k] = (-1)^k e_k.  The matrix was checked symplectic when it was
+    built, so its polynomial is palindromic: only e_1..e_g are needed, and
+    c[k] = c[2g - k] gives the rest.
+    """
+    g = matrix.lattice.genus
     c = [0] * (2 * g + 1)
-    for k, ek in enumerate(e):
+    for k, ek in enumerate(_elementary(matrix.rows, g)):
         c[2 * g - k] = c[k] = -ek if k & 1 else ek
     return c
 

@@ -120,3 +120,37 @@ def test_tracing_drives_the_composite():
     assert tracer.counts["tqft.state_dim.max"] == composite.src.dim
     names = {span[0] for span in tracer.spans}
     assert {"tqft.compose", "tqft.move_matrix"} <= names
+
+
+def test_tracing_times_the_frames_of_a_surgery_word(tmp_path, capsys):
+    """The bordered determinant builds each down frame through the name
+    ``adapted_basis`` in ``tqft``, so a traced surgery word still has
+    ``exterior.adapted_basis`` spans inside its evaluation."""
+    tracing = _tracing()
+    from lagmatch import cli
+
+    cycle = {
+        "n0": 2,
+        "fibers": [2, 1, 1, 2],
+        "moves": [
+            {"kind": "down", "circle": [1, 0, 1, 0]},
+            {"kind": "twist", "matrix": [[2, 1], [1, 1]]},
+            {"kind": "up", "circle": [0, 1, 1, 0]},
+            {"kind": "twist", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]},
+        ],
+    }
+    path = tmp_path / "surgery.json"
+    path.write_text(json.dumps({"schema": "lagmatch-input@1", "morse_cycle": cycle}))
+    before = _namespaces()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert cli.main(["tqft-eval", "--input", str(path), "--json"]) == 0
+    finally:
+        tracer.restore()
+    assert _namespaces() == before
+    spans = tracer.spans
+    frames = [span for span in spans if span[0] == "exterior.adapted_basis"]
+    assert frames
+    assert all(spans[span[3]][0] == "tqft.evaluate" for span in frames)
+    assert json.loads(capsys.readouterr().out)["command"] == "tqft-eval"

@@ -838,6 +838,126 @@ def test_after_first_pair_matches_the_checked_construction():
             assert SpMatrix(SymplecticLattice(g + 1), m.rows) == m
 
 
+# -- the bordered determinant against both push oracles ---------------------
+
+
+def surgery_order_words(rng):
+    """Every order of h downs and h ups with h <= 3, at genus <= 4: a start
+    genus that keeps every fiber in 0..4, up to one twist before each
+    surgery and after the last, and the degree over the lowest fiber 0, 1
+    or 2 in turn."""
+    words = []
+    for h in (1, 2, 3):
+        for order, downs in enumerate(itertools.combinations(range(2 * h), h)):
+            steps = [-1 if j in downs else 1 for j in range(2 * h)]
+            offsets = list(itertools.accumulate(steps, initial=0))
+            genus = rng.randint(-min(offsets), 4 - max(offsets))
+            fibers, moves = [], []
+            for step in steps + [0]:
+                if not step or rng.random() < 0.5:
+                    fibers.append(genus)
+                    moves.append(ElementaryMove.twist(random_sp(rng, SymplecticLattice(genus), length=2)))
+                if step:
+                    fibers.append(genus)
+                    rank = 2 * genus if step < 0 else 2 * genus + 2
+                    kind = ElementaryMove.down if step < 0 else ElementaryMove.up
+                    moves.append(kind(random_primitive(rng, rank, spread=2)))
+                    genus += step
+            words.append((fibers, moves, order % 3 + fibers[0] - min(fibers)))
+    return words
+
+
+def test_bordered_determinant_matches_both_push_oracles():
+    """Every rotation of every seeded surgery shape, read by the bordered
+    determinant, equals the fiber-0 push and the graded trace of the
+    composite of lifts, sign included."""
+    rng = random.Random(81)
+    words = [(c.fibers, c.moves, c.n0) for c in folding_words(rng, 24)]
+    words += cycle_eval_words(rng) + multi_handle_words(rng, 8) + twist_run_words(rng, 6)
+    orders = surgery_order_words(rng)
+    assert len({tuple(m.kind for m in moves if m.kind != "twist") for _, moves, _ in orders}) == 2 + 6 + 20
+    assert all(0 <= min(fibers) and max(fibers) <= 4 for fibers, _, _ in orders)
+    words += orders
+    nonzero = 0
+    for fibers, moves, n0 in words:
+        for cycle in rotations(fibers, moves, n0):
+            value = evaluate_cycle(cycle)
+            assert value == _oracle_evaluate_cycle(cycle), cycle
+            assert value == graded_trace(cycle), cycle
+            nonzero += value != 0
+    assert nonzero > 400
+
+
+CHILD_EVALUATE = """
+import contextlib, io, json, sys, time
+from lagmatch import cli
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        start = time.perf_counter()
+        code = cli.main(["tqft-eval", "--input", path, "--json"])
+        elapsed = time.perf_counter() - start
+    print(json.dumps([code, json.loads(out.getvalue())["value"], elapsed]))
+"""
+
+
+def test_genus_eight_surgery_word_obeys_the_sign_rule_in_every_rotation(tmp_path):
+    """down.twist.up.twist at genus 8 and n0 = 16, every rotation in-process
+    in one child under a 1 GiB address-space limit: rotating past a surgery
+    flips the sign, and each rotation answers within 1 s (the push took
+    about 2 s at genus 6 and grew about sixteenfold per genus)."""
+    import resource
+
+    limit = 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    rng = random.Random(82)
+    fibers = [8, 7, 7, 8]
+    moves = [
+        ElementaryMove.down(random_primitive(rng, 16, spread=2)),
+        ElementaryMove.twist(random_sp(rng, SymplecticLattice(7), length=14)),
+        ElementaryMove.up(random_primitive(rng, 16, spread=2)),
+        ElementaryMove.twist(random_sp(rng, SymplecticLattice(8), length=16)),
+    ]
+    paths = []
+    for cycle in rotations(fibers, moves, 16):
+        doc = {
+            "n0": cycle.n0,
+            "fibers": list(cycle.fibers),
+            "moves": [
+                {"kind": m.kind, "circle": list(m.circle)} if m.matrix is None
+                else {"kind": "twist", "matrix": [list(row) for row in m.matrix.rows]}
+                for m in cycle.moves
+            ],
+        }
+        paths.append(tmp_path / f"rotation-{len(paths)}.json")
+        paths[-1].write_text(json.dumps({"schema": "lagmatch-input@1", "morse_cycle": doc}))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("LAGMATCH_THREADS", None)
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD_EVALUATE, *map(str, paths)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(rows) == 4
+    base = int(rows[0][1])
+    assert base != 0
+    sign = 1
+    for r, (code, value, elapsed) in enumerate(rows):
+        if r:
+            sign *= -1 if moves[r - 1].kind in ("down", "up") else 1
+        assert code == 0
+        assert int(value) == sign * base, r
+        assert elapsed < 1.0, (r, elapsed)
+
+
 # -- twist-only words: Macdonald's formula ---------------------------------
 
 
