@@ -23,6 +23,7 @@ matrices on a hot path.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -342,6 +343,22 @@ def contract(
     return ExtElement(projection.target, out)
 
 
+def _preserves_j(g: int, cols: Sequence[Sequence[int]], duals: Sequence[Sequence[int]]) -> bool:
+    """Whether columns c_j, given with their duals J c_j, satisfy M^T J M = J.
+
+    Column i pairs with columns i+1..2g-1 as row i of J says.  A column
+    pairs with itself to 0 for every integer vector, so the diagonal is
+    skipped.
+    """
+    for i, col in enumerate(cols):
+        expected = [0] * (len(cols) - i - 1)
+        if i < g:
+            expected[g - 1] = 1
+        if [sum(map(operator.mul, col, dual)) for dual in duals[i + 1:]] != expected:
+            return False
+    return True
+
+
 class SpMatrix:
     """Integer symplectic matrix acting on column vectors of a lattice."""
 
@@ -370,21 +387,10 @@ class SpMatrix:
         return self
 
     def _is_symplectic(self) -> bool:
-        """M^T J M = J: column i pairs with columns i+1..n-1 as row i of J says.
-
-        A column pairs with itself to 0 for every integer vector, so the
-        diagonal is skipped.
-        """
+        """M^T J M = J, from the columns of M and their duals."""
         g = self.lattice.genus
         cols = list(zip(*self.rows))
-        later = [_dual(g, col) for col in cols[1:]]  # later[i:] follow column i
-        for i, col in enumerate(cols):
-            expected = [0] * (len(cols) - i - 1)
-            if i < g:
-                expected[g - 1] = 1
-            if [sum(map(operator.mul, col, dual)) for dual in later[i:]] != expected:
-                return False
-        return True
+        return _preserves_j(g, cols, [_dual(g, col) for col in cols])
 
     @classmethod
     def identity(cls, lattice: SymplecticLattice) -> "SpMatrix":
@@ -550,12 +556,12 @@ def primitive_class(lattice: SymplecticLattice, circle: Sequence[int]) -> tuple[
 
 
 def _symplectic_pairs(
-    lattice: SymplecticLattice, circle: Sequence[int]
+    lattice: SymplecticLattice, circle: tuple[int, ...]
 ) -> tuple[list, list, list, list]:
     """Pairs u_i . w_i = 1 with u_1 = circle, and their duals: lists us, ws, J us, J ws.
 
-    Integer symplectic Gram-Schmidt in closed form.  The projection onto the
-    complement of the pairs found so far is
+    Integer symplectic Gram-Schmidt in closed form, for a primitive circle.
+    The projection onto the complement of the pairs found so far is
 
         P(x) = x - sum_j (x . w_j) u_j + sum_j (x . u_j) w_j,
 
@@ -563,12 +569,13 @@ def _symplectic_pairs(
     round takes the Bezout partner coefficients of -J u, w = P(coefficients),
     and as the next u the first nonzero P(e_i) over its content, which is
     the gcd of its pairings with the complement.  The pairings come from
-    the duals: x . w_j is x dotted with J w_j.  An e_i that projected to
-    0, or gave u, lies in the span of the pairs from then on, so each scan
-    resumes after the index the last one took.
+    the duals: x . w_j is x dotted with J w_j, and e_i . w_j = (J w_j)_i.
+    P adds one multiple of u_j or w_j at a time, skipping zero pairings.
+    An e_i that projected to 0, or gave u, lies in the span of the pairs
+    from then on, so each scan resumes after the index the last one took.
     """
     g, n = lattice.genus, lattice.rank
-    u = primitive_class(lattice, circle)
+    u = circle
     us: list[tuple[int, ...]] = []
     ws: list[tuple[int, ...]] = []
     dus: list[tuple[int, ...]] = []
@@ -579,23 +586,19 @@ def _symplectic_pairs(
         d, coeffs = _bezout(list(map(operator.neg, du)))
         if d != 1:
             raise ValueError("internal: non-unimodular pairing with a primitive class")
-        if us:
-            along = [-sum(map(operator.mul, coeffs, dw)) for dw in dws]
-            along += [sum(map(operator.mul, coeffs, dv)) for dv in dus]
-            w = tuple(c + sum(map(operator.mul, along, col)) for c, col in zip(coeffs, cols))
-        else:
-            w = tuple(coeffs)
+        along = [(-sum(map(operator.mul, coeffs, dw)), sum(map(operator.mul, coeffs, dv)))
+                 for dv, dw in zip(dus, dws)]
+        w = _project(coeffs, along, us, ws)
         us.append(u)
-        ws.append(w)
+        ws.append(tuple(w))
         dus.append(du)
         dws.append(_dual(g, w))
         if len(us) == g:
             return us, ws, dus, dws
-        cols = list(zip(*us, *ws))  # entry k of every u_j, then of every w_j
         for i in range(start, n):
-            along = [-dw[i] for dw in dws] + [dv[i] for dv in dus]
-            x = [sum(map(operator.mul, along, col)) for col in cols]
-            x[i] += 1  # x = P(e_i)
+            x = [0] * n
+            x[i] = 1
+            x = _project(x, [(-dw[i], dv[i]) for dv, dw in zip(dus, dws)], us, ws)
             content = math.gcd(*x)
             if content:
                 u = tuple(c // content for c in x)
@@ -605,23 +608,50 @@ def _symplectic_pairs(
             raise ValueError("internal: symplectic completion fell short")
 
 
-def circle_frame(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix:
-    """Integer symplectic matrix F with F . a_1 = circle.
+def _project(x: list[int], along: list[tuple[int, int]], us: list, ws: list) -> list[int]:
+    """x + sum_j (a_j u_j + b_j w_j) for the pairings (a_j, b_j) in ``along``."""
+    for (a, b), u, w in zip(along, us, ws):
+        if a:
+            x = [c + a * y for c, y in zip(x, u)]
+        if b:
+            x = [c + b * y for c, y in zip(x, w)]
+    return x
 
-    The circle class must be primitive.  The columns of F are the pairs
-    u_1, ..., u_g, w_1, ..., w_g of ``_symplectic_pairs``, u_1 = circle, so
-    F sends a_1 to the circle by construction.
+
+@functools.lru_cache
+def _frames(genus: int, circle: tuple[int, ...]) -> tuple[SpMatrix, SpMatrix]:
+    """The frame F of a primitive circle and its inverse, certified once per circle.
+
+    The columns of F are the pairs u_1, ..., u_g, w_1, ..., w_g of
+    ``_symplectic_pairs``, u_1 = circle, so F sends a_1 to the circle by
+    construction; F^{-1} = -J F^T J has rows J w_1, ..., J w_g, -J u_1,
+    ..., -J u_g.  F^T J F = J is checked once, on the columns of F and
+    the duals the pass already holds, and then both are built unchecked.
+    Memoized per (genus, circle), up to the 128 most recent circles; the
+    callers check the circle first, so no error is ever cached.
     """
-    us, ws, _, _ = _symplectic_pairs(lattice, circle)
-    return SpMatrix(lattice, list(zip(*(us + ws))))
+    lattice = SymplecticLattice(genus)
+    us, ws, dus, dws = _symplectic_pairs(lattice, circle)
+    cols = us + ws
+    if not _preserves_j(genus, cols, dus + dws):
+        raise ValueError("internal: symplectic completion does not preserve the form")
+    frame = SpMatrix._closed(lattice, list(zip(*cols)))
+    return frame, SpMatrix._closed(lattice, dws + [tuple(map(operator.neg, du)) for du in dus])
+
+
+def circle_frame(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix:
+    """Integer symplectic matrix F with F . a_1 = circle, which must be primitive.
+
+    The columns of F are the pairs of ``_symplectic_pairs``, u_1 = circle;
+    ``_frames`` builds F once per circle.
+    """
+    return _frames(lattice.genus, primitive_class(lattice, circle))[0]
 
 
 def adapted_basis(lattice: SymplecticLattice, circle: Sequence[int]) -> SpMatrix:
     """Integer symplectic matrix B with B . circle = a_1: the inverse of ``circle_frame``.
 
-    B = F^{-1} = -J F^T J has rows J w_1, ..., J w_g, -J u_1, ..., -J u_g,
-    read off the duals of the pairs.  B is symplectic exactly when F is,
-    and its constructor checks it.
+    The circle must be primitive.  B = F^{-1} = -J F^T J is read off the
+    duals of the pairs, and ``_frames`` builds it with F.
     """
-    _, _, dus, dws = _symplectic_pairs(lattice, circle)
-    return SpMatrix(lattice, dws + [tuple(map(operator.neg, du)) for du in dus])
+    return _frames(lattice.genus, primitive_class(lattice, circle))[1]

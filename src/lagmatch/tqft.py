@@ -417,8 +417,10 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     Every circle is checked primitive, in move order, first; then a
     separating circle gives the zero map and the value 0, before any frame
     is built.  A word with no surgery is twists only, and tr C_k =
-    tr Lambda^k P for their integer product P, which
-    ``alexander_cycle_value`` reads off the characteristic polynomial of P.
+    tr Lambda^k P = e_k for their integer product P, the elementary
+    symmetric functions of its eigenvalues.  P is symplectic, so e_k =
+    e_(2g-k), and the value is Macdonald's sum over k <= min(n0, 2g) of
+    (n0 - k + 1) (-1)^k e_min(k, 2g-k): only e_0 .. e_min(n0, g) are formed.
 
     A word with a surgery is read from fiber r, the one right after the
     down with the lowest target genus (the first such down on ties).  A
@@ -456,7 +458,9 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     downs = [j for j, move in enumerate(cycle.moves) if move.kind == "down"]
     if not downs:
         product = functools.reduce(lambda p, move: move.matrix @ p, cycle.moves[1:], cycle.moves[0].matrix)
-        return alexander_cycle_value(alexander_fibered(product), cycle.n0, cycle.fibers[0])
+        n0, g = cycle.n0, cycle.fibers[0]
+        e = _elementary(product.rows, min(n0, g))
+        return sum((n0 - k + 1) * (-1) ** k * e[min(k, 2 * g - k)] for k in range(min(n0, 2 * g) + 1))
     r = (min(downs, key=cycle.fibers.__getitem__) + 1) % len(cycle.moves)
     rank = 2 * cycle.fibers[r]
     cols = None  # [R | V], by columns; R starts as the identity on fiber r

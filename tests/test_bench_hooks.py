@@ -125,7 +125,9 @@ def test_tracing_drives_the_composite():
 def test_tracing_times_the_frames_of_a_surgery_word(tmp_path, capsys):
     """The bordered determinant builds each down frame through the name
     ``adapted_basis`` in ``tqft``, so a traced surgery word still has
-    ``exterior.adapted_basis`` spans inside its evaluation."""
+    ``exterior.adapted_basis`` spans inside its evaluation.  Frames are
+    memoized per circle, so the word runs twice: the second run, whose
+    frames are all memo hits, still has a span of its own."""
     tracing = _tracing()
     from lagmatch import cli
 
@@ -145,12 +147,15 @@ def test_tracing_times_the_frames_of_a_surgery_word(tmp_path, capsys):
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        assert cli.main(["tqft-eval", "--input", str(path), "--json"]) == 0
+        for _ in range(2):
+            assert cli.main(["tqft-eval", "--input", str(path), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["command"] == "tqft-eval"
     finally:
         tracer.restore()
     assert _namespaces() == before
     spans = tracer.spans
     frames = [span for span in spans if span[0] == "exterior.adapted_basis"]
-    assert frames
     assert all(spans[span[3]][0] == "tqft.evaluate" for span in frames)
-    assert json.loads(capsys.readouterr().out)["command"] == "tqft-eval"
+    runs = [i for i, span in enumerate(spans) if span[0] == "tqft.evaluate"]
+    assert len(runs) == 2
+    assert all(any(span[3] == run for span in frames) for run in runs)

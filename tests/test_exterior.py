@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from lagmatch import exterior, tqft
 from lagmatch.exterior import (
     ExtElement,
     LatticeProjection,
@@ -24,6 +25,7 @@ from lagmatch.exterior import (
     transvection,
     wedge,
 )
+from lagmatch.tqft import ElementaryMove, MorseCycle
 
 
 def random_element(rng, lattice, max_terms=4, degree=None):
@@ -513,3 +515,68 @@ def test_ext_power_images_of_non_square_rows():
     empty = ext_power_images((), 2)
     assert empty(()) == {(): 1}
     assert empty((0,)) == empty((1,)) == empty((0, 1)) == {}
+
+
+def test_frames_are_built_once_per_circle(monkeypatch):
+    """A down-up along one circle, every rotation of a surgery word and the
+    lifts run one Gram-Schmidt pass per distinct (genus, circle); hits give
+    the rows of both oracles, and the memo keeps at most 128 circles."""
+    passes = []
+    pairs = exterior._symplectic_pairs
+
+    def counted(lattice, circle):
+        passes.append((lattice.genus, circle))
+        return pairs(lattice, circle)
+
+    monkeypatch.setattr(exterior, "_symplectic_pairs", counted)
+    exterior._frames.cache_clear()
+    rng = random.Random(83)
+    lat = SymplecticLattice(3)
+    circle = random_primitive(rng, lat.rank)
+    tqft.evaluate_cycle(MorseCycle([3, 2], [ElementaryMove.down(circle), ElementaryMove.up(circle)], 2))
+    assert passes == [(3, circle)]
+
+    down, up = random_primitive(rng, lat.rank), random_primitive(rng, lat.rank)
+    fibers = [3, 2, 2, 3]
+    moves = [
+        ElementaryMove.down(down),
+        ElementaryMove.twist(random_sp(rng, SymplecticLattice(2))),
+        ElementaryMove.up(up),
+        ElementaryMove.twist(random_sp(rng, lat)),
+    ]
+    for r in range(4):
+        tqft.evaluate_cycle(MorseCycle(fibers[r:] + fibers[:r], moves[r:] + moves[:r], fibers[r] - 1))
+    tqft.down_map(down, 2, lat)
+    tqft.up_map(up, 1, SymplecticLattice(2))
+    assert sorted(passes) == sorted({(3, circle), (3, down), (3, up)})
+    for c in (circle, down, up):
+        assert circle_frame(lat, c).rows == _oracle_circle_frame(lat, c).rows
+        assert adapted_basis(lat, list(c)).rows == _oracle_adapted_basis(lat, c).rows
+    assert len(passes) == 3
+
+    for _ in range(1000):
+        g = rng.randint(1, 4)
+        circle_frame(SymplecticLattice(g), random_primitive(rng, 2 * g, spread=9))
+    assert exterior._frames.cache_info().currsize <= 128
+
+
+def test_frame_errors_are_checked_on_every_call():
+    """Length, then integrality, then content, on every call: no error is
+    cached and no pass runs."""
+    exterior._frames.cache_clear()
+    lat = SymplecticLattice(2)
+    cases = (
+        ((2, 0), ValueError, "^vector has length 2, lattice rank is 4$"),
+        ((0.5, 0), ValueError, "^vector has length 2, lattice rank is 4$"),
+        ((1.5, 0, 0, 0), TypeError, "^'float' object cannot be interpreted as an integer$"),
+        ((2, 0.5, 0, 0), TypeError, "^'float' object cannot be interpreted as an integer$"),
+        ((2, 0, 0, 4), ValueError, "^circle class must be primitive$"),
+        ((0, 0, 0, 0), ValueError, "^circle class must be primitive$"),
+    )
+    for build in (adapted_basis, circle_frame):
+        for circle, error, message in cases:
+            for _ in range(2):
+                with pytest.raises(error, match=message):
+                    build(lat, circle)
+    info = exterior._frames.cache_info()
+    assert info.misses == info.currsize == 0

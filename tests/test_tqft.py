@@ -1,6 +1,7 @@
 """Elementary-move maps, cycle evaluation, and the fibered cross-check."""
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -141,8 +142,9 @@ def test_weighted_sum_goldens():
 
 
 def test_fibered_equality_random():
-    """Supertrace of a single twist equals Macdonald's sum over the
-    Faddeev-LeVerrier characteristic polynomial."""
+    """Supertrace of a word of one, two or three twists equals Macdonald's
+    sum over the Faddeev-LeVerrier characteristic polynomial of their
+    product, for every degree up to and past the min(n0, 2g) cap."""
     rng = random.Random(31)
     for g in (0, 1, 2):
         lat = SymplecticLattice(g)
@@ -151,6 +153,15 @@ def test_fibered_equality_random():
                 m = random_sp(rng, lat)
                 lhs = evaluate_cycle(MorseCycle([g], [ElementaryMove.twist(m)], n))
                 assert lhs == _macdonald(m.rows, n), (g, n, m.rows)
+    for g in range(9):
+        lat = SymplecticLattice(g)
+        for length in (2, 3):
+            twists = [random_sp(rng, lat, length=rng.randint(1, 4)) for _ in range(length)]
+            product = functools.reduce(lambda p, m: m @ p, twists)
+            moves = [ElementaryMove.twist(m) for m in twists]
+            for n in range(2 * g + 2):
+                lhs = evaluate_cycle(MorseCycle([g] * length, moves, n))
+                assert lhs == _macdonald(product.rows, n), (g, n, product.rows)
 
 
 # -- surgery maps ---------------------------------------------------------
@@ -801,9 +812,10 @@ def test_twist_run_words_match_the_composite():
 
 
 def test_word_ending_in_up_twist_builds_no_trailing_power():
-    """No exterior power of a pending product is built: the evaluation ends
-    with its lowest down, into which every pending product folds, while the
-    same word read from fiber 0 ends with a product pending."""
+    """The ``_stages`` fold that the lifts use: read from fiber 1, right
+    after its down, a down-twist-up-twist word folds every twist into a
+    stage and leaves no product pending, while the same word read from
+    fiber 0 ends with its up frame and last twist pending."""
     rng = random.Random(76)
     cases = []
     for g in (1, 2, 3):
