@@ -332,14 +332,7 @@ def cmd_gradings(args: argparse.Namespace) -> dict:
 def cmd_tqft_eval(args: argparse.Namespace) -> dict:
     doc = _load_document(args.input)
     cycle = _parse_cycle(_section(doc, "morse_cycle"))
-    fibered = len(cycle.moves) == 1 and cycle.moves[0].kind == "twist"
-    if fibered:  # one Alexander form gives the value and the cross-check
-        matrix = cycle.moves[0].matrix
-        assert matrix is not None
-        coeffs = alexander_fibered(matrix)
-        value = alexander_cycle_value(coeffs, cycle.n0, cycle.fibers[0])
-    else:
-        value = evaluate_cycle(cycle)
+    value = evaluate_cycle(cycle)
     dims = [poincare_polynomial_dimension(cycle.nu(j), g) for j, g in enumerate(cycle.fibers)]
     report: dict[str, Any] = {
         "command": "tqft-eval",
@@ -357,13 +350,15 @@ def cmd_tqft_eval(args: argparse.Namespace) -> dict:
         report["notes"].append(
             f"move {j} is surgery along a nullhomologous circle: zero map, zero value"
         )
-    if fibered:
-        # The value is the weighted coefficient sum, so they agree by
-        # construction; the tests check the sum against the graded trace.
+    if len(cycle.moves) == 1 and cycle.moves[0].kind == "twist":
+        # Macdonald's weighted sum of the monodromy's Alexander coefficients,
+        # computed apart from the walk of evaluate_cycle and compared with it.
+        coeffs = alexander_fibered(cycle.moves[0].matrix)
+        weighted = alexander_cycle_value(coeffs, cycle.n0, cycle.fibers[0])
         report["fibered_crosscheck"] = {
             "alexander_coefficients": list(coeffs),
-            "weighted_coefficient_sum": value,
-            "agrees": True,
+            "weighted_coefficient_sum": weighted,
+            "agrees": weighted == value,
         }
         report["notes"].append(
             "single-twist cycle: cross-checked against the Alexander form of the monodromy"

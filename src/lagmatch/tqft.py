@@ -21,8 +21,9 @@ characteristic polynomial of M (Macdonald's formula for Sym^n of a
 surface): ``alexander_cycle_value`` is that weighted sum of the
 coefficients (a_0, ..., a_g) of det(tI - M)/t^g = sum a_m (t^m + t^-m),
 the tuple that ``alexander_fibered`` returns.
-A word with a surgery is one bordered determinant of integer matrices,
-the Fock-space form of the Frohman-Nicas torsion (``evaluate_cycle``).
+``evaluate_cycle`` reads every word, with or without surgeries, as one
+bordered determinant of integer matrices, the Fock-space form of the
+Frohman-Nicas torsion; a twist-only word is the case with no border.
 """
 
 from __future__ import annotations
@@ -416,37 +417,42 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
 
     Every circle is checked primitive, in move order, first; then a
     separating circle gives the zero map and the value 0, before any frame
-    is built.  A word with no surgery is twists only, and tr C_k =
-    tr Lambda^k P = e_k for their integer product P, the elementary
-    symmetric functions of its eigenvalues.  P is symplectic, so e_k =
-    e_(2g-k), and the value is Macdonald's sum over k <= min(n0, 2g) of
-    (n0 - k + 1) (-1)^k e_min(k, 2g-k): only e_0 .. e_min(n0, g) are formed.
+    is built.
 
-    A word with a surgery is read from fiber r, the one right after the
-    down with the lowest target genus (the first such down on ties).  A
-    surgery moves k and the fiber genus by the same step, so C_k at fiber 0
-    is conjugate to C_k' at fiber r with k' = k + g_r - g_0, over
-    Sym^{n0'} with n0' = n0 + g_r - g_0: the weight n0 - k + 1 is kept and
-    the sign changes by (-1)^(g_r - g_0).  On Lambda of first homology a
-    twist or a frame acts as Lambda(M), an up as the creation a_1 ^, and a
-    down as -1 times the contraction with the b_1 coordinate, so by Wick's
-    theorem T is one bordered determinant: the Fock-space form of the
-    Frohman-Nicas torsion and of Donaldson's route to Meng-Taubes
-    (*Topological field theories and formulae of Casson and Meng-Taubes*,
-    Geom. Topol. Monographs 2, 1999).  The walk carries the columns of
-    [R | V] from the identity on fiber r through every twist and frame; a
-    down records its b_1 row as (Phi_a, W_a) and drops rows a_1 and b_1,
-    an up inserts them as zeros and adds the column e_0 to V.  Then, with
-    L = R, h downs and inv (down, up) pairs with the down earlier,
+    The word is read from fiber r, the one right after the down with the
+    lowest target genus (the first such down on ties), or from fiber 0 if
+    it has no down.  A surgery moves k and the fiber genus by the same
+    step, so C_k at fiber 0 is conjugate to C_k' at fiber r with
+    k' = k + g_r - g_0, over Sym^{n0'} with n0' = n0 + g_r - g_0: the
+    weight n0 - k + 1 is kept and the sign changes by (-1)^(g_r - g_0).
+    On Lambda of first homology a twist or a frame acts as Lambda(M), an up
+    as the creation a_1 ^, and a down as -1 times the contraction with the
+    b_1 coordinate, so by Wick's theorem T is one bordered determinant: the
+    Fock-space form of the Frohman-Nicas torsion and of Donaldson's route
+    to Meng-Taubes (*Topological field theories and formulae of Casson and
+    Meng-Taubes*, Geom. Topol. Monographs 2, 1999).  The walk carries the
+    columns of [R | V] from the identity on fiber r through every twist and
+    frame; a down records its b_1 row as (Phi_a, W_a) and drops rows a_1
+    and b_1, an up inserts them as zeros and adds the column e_0 to V.
+    Then, with L = R, h downs and inv (down, up) pairs with the down earlier,
 
         T(t) = (-1)^(h(h-1)/2 + inv) det [[I - tL, tV], [Phi, -W]]
              = (-1)^(h(h-1)/2 + inv) det E / p^(h-1),
 
     p = det(I - tL), E = -p W - t p(t) sum_i t^i Phi L^i V, by
-    Cayley-Hamilton.  Only t^0 .. t^N with N = min(n0', 2 g_r) reach the
-    value, so all is mod t^(N+1): p from Newton's identities, E a scalar
-    when h = 1 and Bird's division-free determinant otherwise, and the
-    division by p^(h-1) exact since p_0 = 1.
+    Cayley-Hamilton.  A word with no down is the case h = 0: T = p, the
+    characteristic polynomial of the product of its twists.
+
+    T is a torsion, so it is palindromic about the lowest fiber (Milnor,
+    *A duality theorem for Reidemeister torsion*, Ann. of Math. 76, 1962):
+    T_k = T_(2 g_r - k), and T has degree at most 2 g_r.  The value is
+    sum over k <= min(n0', 2 g_r) of (n0' - k + 1) T_min(k, 2 g_r - k), so
+    only t^0 .. t^N with N = min(n0', g_r) are formed, and all is mod
+    t^(N+1): p from Newton's identities, E a scalar when h = 1 and Bird's
+    division-free determinant otherwise, and the division by p^(h-1) exact
+    since p_0 = 1.  ``test_every_mirrored_degree_matches_the_fiber_zero_oracle``
+    guards the half: it reads T from the fiber-0 push at every degree up to
+    2 g_r + 1 and checks both the values and the palindromy.
     """
     for move, genus in zip(cycle.moves, cycle.fibers):
         if move.kind != "twist" and not move.separating:
@@ -456,12 +462,7 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     if any(move.separating for move in cycle.moves):
         return 0
     downs = [j for j, move in enumerate(cycle.moves) if move.kind == "down"]
-    if not downs:
-        product = functools.reduce(lambda p, move: move.matrix @ p, cycle.moves[1:], cycle.moves[0].matrix)
-        n0, g = cycle.n0, cycle.fibers[0]
-        e = _elementary(product.rows, min(n0, g))
-        return sum((n0 - k + 1) * (-1) ** k * e[min(k, 2 * g - k)] for k in range(min(n0, 2 * g) + 1))
-    r = (min(downs, key=cycle.fibers.__getitem__) + 1) % len(cycle.moves)
+    r = (min(downs, key=cycle.fibers.__getitem__) + 1) % len(cycle.moves) if downs else 0
     rank = 2 * cycle.fibers[r]
     cols = None  # [R | V], by columns; R starts as the identity on fiber r
     border: list[list[int]] = []  # (Phi_a | W_a), one row per down
@@ -485,7 +486,7 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
         if move.kind == "up":
             cols.append([row[0] for row in frame])
     h = len(border)
-    n0, n = cycle.nu(r), min(cycle.nu(r), rank)
+    n0, n = cycle.nu(r), min(cycle.nu(r), rank // 2)
     loop = list(zip(*cols[:rank]))  # L = R back on fiber r, by rows
     p = [-e if k & 1 else e for k, e in enumerate(_elementary(loop, n))]  # det(I - tL)
     krylov = []  # V_b, L V_b, ..., L^(N-1) V_b for each b
@@ -503,11 +504,11 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
         ]
         for phi, w_row in zip(phis, ws)
     ]
-    series = e[0][0] if h == 1 else _bird_det(e)
+    series = p if not h else e[0][0] if h == 1 else _bird_det(e)
     for _ in range(h - 1):
         for m in range(1, n + 1):
             series[m] -= sum(p[j] * series[m - j] for j in range(1, m + 1))
-    total = sum((n0 - k + 1) * c for k, c in enumerate(series))
+    total = sum((n0 - k + 1) * series[min(k, rank - k)] for k in range(min(n0, rank) + 1))
     return -total if (h * (h - 1) // 2 + inv + cycle.fibers[r] - cycle.fibers[0]) & 1 else total
 
 

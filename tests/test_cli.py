@@ -84,6 +84,18 @@ def test_tqft_eval_fixtures():
     assert report["separating_move"] == 0
 
 
+def test_fibered_crosscheck_compares_the_weighted_sum_with_the_value(capsys, monkeypatch):
+    """agrees is computed: a weighted sum one off the value is reported as
+    disagreeing, and the command still answers."""
+    real = cli.alexander_cycle_value
+    monkeypatch.setattr(cli, "alexander_cycle_value", lambda *args: real(*args) + 1)
+    assert main(["tqft-eval", "--input", "fixture:anosov-cycle", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    crosscheck = report["fibered_crosscheck"]
+    assert crosscheck["agrees"] is False
+    assert crosscheck["weighted_coefficient_sum"] == report["value"] + 1
+
+
 def test_cz_fixture():
     out = run_cli(["cz", "--input", "fixture:rotation-path", "--json"])
     report = json.loads(out.stdout)

@@ -900,6 +900,38 @@ def test_bordered_determinant_matches_both_push_oracles():
     assert nonzero > 400
 
 
+def test_every_mirrored_degree_matches_the_fiber_zero_oracle():
+    """Every rotation of the five seeded generators, at every degree n0' =
+    0 .. 2 g_r + 1 over the lowest fiber, equals the fiber-0 push, and the
+    push's own T(t) = (1 - t)^2 sum_n value(n) t^n has degree at most 2 g_r
+    and is palindromic.  evaluate_cycle forms T only up to t^(g_r) and
+    mirrors the rest, so a palindromy check on its values alone would pass
+    by construction; the push forms every degree.  Runtime budget: 60 s
+    (about 8 s on a 2-vCPU host)."""
+    rng = random.Random(83)
+    words = [(c.fibers, c.moves, c.n0) for c in folding_words(rng, 24)]
+    words += cycle_eval_words(rng) + multi_handle_words(rng, 8) + twist_run_words(rng, 6)
+    words += surgery_order_words(rng)
+    assert max(max(fibers) for fibers, _, _ in words) == 4
+    mirrored = 0  # evaluations that take a nonzero share of their value from k > g_r
+    for fibers, moves, n0 in words:
+        for cycle in rotations(fibers, moves, n0):
+            low = min(cycle.fibers)
+            values = []
+            for degree in range(2 * low + 2):
+                shifted = MorseCycle(cycle.fibers, cycle.moves, degree + cycle.fibers[0] - low)
+                values.append(_oracle_evaluate_cycle(shifted))
+                assert evaluate_cycle(shifted) == values[-1], shifted
+            padded = [0, 0] + values
+            t = [padded[k + 2] - 2 * padded[k + 1] + padded[k] for k in range(2 * low + 2)]
+            assert t[2 * low + 1] == 0, cycle
+            assert t[:2 * low + 1] == t[2 * low::-1], cycle
+            for degree in range(low + 1, 2 * low + 2):
+                top = range(low + 1, min(degree, 2 * low) + 1)
+                mirrored += sum((degree - k + 1) * t[k] for k in top) != 0
+    assert mirrored > 1000
+
+
 CHILD_EVALUATE = """
 import contextlib, io, json, sys, time
 from lagmatch import cli
