@@ -67,15 +67,6 @@ class SymplecticLattice:
             raise ValueError(f"vector has length {len(v)}, lattice rank is {self.rank}")
         return tuple(map(operator.index, v))
 
-    def intersection_form(self) -> list[list[int]]:
-        """The matrix J itself, as dense rows."""
-        g = self.genus
-        rows = [[0] * self.rank for _ in range(self.rank)]
-        for i in range(g):
-            rows[i][g + i] = 1
-            rows[g + i][i] = -1
-        return rows
-
 
 def intersection(lattice: SymplecticLattice, x: Sequence[int], y: Sequence[int]) -> int:
     """Algebraic intersection number x . y = x^T J y."""
@@ -409,19 +400,6 @@ class SpMatrix:
             raise ValueError("matrix lattices differ")
         cols = list(zip(*other.rows))
         rows = [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
-        return SpMatrix._closed(self.lattice, rows)
-
-    def inverse(self) -> "SpMatrix":
-        """Symplectic inverse M^{-1} = -J M^T J, integer by construction.
-
-        For M = [[A, B], [C, D]] in g x g blocks this is [[D^T, -B^T],
-        [-C^T, A^T]]: row i < g is J applied to column g + i of M, and row
-        g + i is -J applied to column i.
-        """
-        g = self.lattice.genus
-        cols = list(zip(*self.rows))
-        rows = [_dual(g, col) for col in cols[g:]]
-        rows += [tuple(-x for x in _dual(g, col)) for col in cols[:g]]
         return SpMatrix._closed(self.lattice, rows)
 
     def __eq__(self, other: object) -> bool:

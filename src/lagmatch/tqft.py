@@ -120,15 +120,11 @@ class SymLinearMap:
         return SymClass(self.dst.n, self.dst.lattice, terms)
 
     def __matmul__(self, other: "SymLinearMap") -> "SymLinearMap":
-        """self after other."""
+        """self after other, with the composed image memoized."""
         if other.dst != self.src:
             raise ValueError("maps are not composable")
-        return SymLinearMap(other.src, self.dst, _then(other.image, self.image))
-
-
-def _then(first: Image, then: Image) -> Image:
-    """The memoized image of ``then`` after ``first``."""
-    return functools.cache(lambda s: _push(then, first(s)))
+        first, then = other.image, self.image
+        return SymLinearMap(other.src, self.dst, functools.cache(lambda s: _push(then, first(s))))
 
 
 def _contract_a1(frame: SpMatrix, lattice: SymplecticLattice) -> Image:
@@ -157,26 +153,6 @@ def _contract_a1(frame: SpMatrix, lattice: SymplecticLattice) -> Image:
         return {t: c for t, c in out.items() if c}
 
     return image
-
-
-def _insert_a1(lattice: SymplecticLattice) -> Image:
-    """e_S -> a_1 ^ e_S, with S included after the first pair, genus g -> g+1."""
-    include = LatticeProjection.include_after_first_pair(lattice)
-    return lambda s: {(0,) + include.map_subset(s): 1}
-
-
-def _after_first_pair(matrix: SpMatrix) -> SpMatrix:
-    """1 + M on genus g + 1: M on the handles after the first pair, which it fixes.
-
-    The a_1 insertion intertwines the two: a_1 ^ (M x) = (1 + M)(a_1 ^ x).
-    """
-    include = LatticeProjection.include_after_first_pair(matrix.lattice)
-    rank = include.target.rank
-    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
-    for i, row in zip(include.images, matrix.rows):
-        for j, x in zip(include.images, row):
-            rows[i][j] = x
-    return SpMatrix._closed(include.target, rows)
 
 
 class ElementaryMove:
@@ -278,54 +254,32 @@ class MorseCycle:
         return f"MorseCycle(fibers={self.fibers}, moves=[{kinds}], n0={self.n0})"
 
 
-def _stages(
-    moves: Sequence[ElementaryMove], genera: Sequence[int]
-) -> tuple[list[Image], SpMatrix | None]:
-    """The exterior-level images of a run of moves, move j out of genus genera[j].
-
-    Lambda is a functor, so a run of twists acts as the exterior power of
-    their integer product P, which folds into the next down frame: a down
-    is ``_contract_a1(frame P)``, an expansion along row b_1, with frame
-    the adapted basis sending the circle to a_1.  An up circle lives on the
-    target surface (it is the belt circle of the new handle); an up is
-    ``_insert_a1``, which carries P across as 1 + P, and its inverse frame
-    times 1 + P stays pending for the next down.  A separating circle gives
-    the zero map, and an essential one must be primitive.  Returns the
-    stages in order and the product still pending after them, or None.
-    """
-    stages: list[Image] = []
-    pending: SpMatrix | None = None
-    for move, genus in zip(moves, genera):
-        if move.kind == "twist":
-            assert move.matrix is not None
-            pending = move.matrix if pending is None else move.matrix @ pending
-            continue
-        assert move.circle is not None
-        if move.kind == "down" and genus < 1:
-            raise NonClosingCycle("down surgery needs positive fiber genus")
-        lattice = SymplecticLattice(genus)
-        surface = lattice if move.kind == "down" else SymplecticLattice(genus + 1)
-        surface.check_vector(move.circle)
-        if move.separating:
-            stages.append(lambda s: {})
-            pending = None
-        elif move.kind == "down":
-            frame = adapted_basis(lattice, move.circle)
-            stages.append(_contract_a1(frame if pending is None else frame @ pending, lattice))
-            pending = None
-        else:
-            frame = circle_frame(surface, move.circle)
-            stages.append(_insert_a1(lattice))
-            pending = frame if pending is None else frame @ _after_first_pair(pending)
-    return stages, pending
-
-
 def _move_image(move: ElementaryMove, genus: int) -> Image:
-    """The exterior-level map of a move out of a fiber of the given genus."""
-    stages, pending = _stages((move,), (genus,))
-    if pending is not None:
-        stages.append(ext_power_images(pending.rows))
-    return functools.reduce(_then, stages)
+    """The exterior-level map of a move out of a fiber of the given genus.
+
+    A twist acts as its exterior power.  A down is ``_contract_a1`` of the
+    adapted basis sending the circle to a_1.  An up circle lives on the
+    target surface (it is the belt circle of the new handle); an up is
+    e_S -> Lambda(F)(a_1 ^ e_S), with S included after the first pair and
+    F the ``circle_frame`` sending a_1 to the circle.  A separating circle
+    gives the zero map, and an essential one must be primitive.
+    """
+    if move.kind == "twist":
+        assert move.matrix is not None
+        return ext_power_images(move.matrix.rows)
+    assert move.circle is not None
+    if move.kind == "down" and genus < 1:
+        raise NonClosingCycle("down surgery needs positive fiber genus")
+    lattice = SymplecticLattice(genus)
+    surface = lattice if move.kind == "down" else SymplecticLattice(genus + 1)
+    surface.check_vector(move.circle)
+    if move.separating:
+        return lambda s: {}
+    if move.kind == "down":
+        return _contract_a1(adapted_basis(lattice, move.circle), lattice)
+    power = ext_power_images(circle_frame(surface, move.circle).rows)
+    include = LatticeProjection.include_after_first_pair(lattice)
+    return lambda s: power((0,) + include.map_subset(s))
 
 
 def _lift(move: ElementaryMove, n: int, genus: int) -> SymLinearMap:
@@ -341,11 +295,6 @@ def _lift(move: ElementaryMove, n: int, genus: int) -> SymLinearMap:
     )
 
 
-def twist_map(matrix: SpMatrix, n: int) -> SymLinearMap:
-    """The endomorphism of Sym^n induced by a fiberwise diffeomorphism."""
-    return _lift(ElementaryMove.twist(matrix), n, matrix.lattice.genus)
-
-
 def down_map(circle: Sequence[int], n: int, lattice: SymplecticLattice) -> SymLinearMap:
     """Surgery down along a circle: Sym^n(genus g) -> Sym^{n-1}(genus g-1)."""
     return _lift(ElementaryMove.down(circle), n, lattice.genus)
@@ -357,20 +306,11 @@ def up_map(circle: Sequence[int], n: int, lattice: SymplecticLattice) -> SymLine
 
 
 def move_matrix(cycle: MorseCycle, j: int) -> SymLinearMap:
-    """The Sym-level map of move j of a validated cycle."""
+    """The Sym-level map of move j of a validated cycle.
+
+    No path in the package calls it; perfbench/tracing.py wraps it by name.
+    """
     return _lift(cycle.moves[j], cycle.nu(j), cycle.fibers[j])
-
-
-def cycle_composite(cycle: MorseCycle) -> SymLinearMap:
-    """The composite endomorphism of the fiber-0 space, last move outermost."""
-    composite: SymLinearMap | None = None
-    for j in range(len(cycle.moves)):
-        step = move_matrix(cycle, j)
-        composite = step if composite is None else step @ composite
-    assert composite is not None
-    if composite.src != composite.dst:
-        raise NonClosingCycle("cycle does not return to its starting fiber")
-    return composite
 
 
 def _series_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

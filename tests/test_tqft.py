@@ -44,14 +44,13 @@ from lagmatch.tqft import (
     alexander_cycle_value,
     alexander_fibered,
     connected_sum_invariant,
-    cycle_composite,
     down_map,
     evaluate_cycle,
-    twist_map,
     up_map,
     weighted_exterior_dimension,
     worked_example,
 )
+from reference import after_first_pair, cycle_composite, insert_a1, inverse, twist_map
 
 ANOSOV = [[2, 1], [1, 1]]
 
@@ -182,7 +181,7 @@ def test_move_images_match_exterior_reference():
             twist = random_sp(rng, lat)
             twist_image = _move_image(ElementaryMove.twist(twist), g)
             up_circle = random_primitive(rng, target.rank)
-            up_frame_inv = adapted_basis(target, up_circle).inverse()
+            up_frame_inv = inverse(adapted_basis(target, up_circle))
             up_image = _move_image(ElementaryMove.up(up_circle), g)
             for s in monomials:
                 e_s = ExtElement(lat, {s: 1})
@@ -703,8 +702,8 @@ def _oracle_evaluate_cycle(cycle):
             pending = None
         else:
             frame = circle_frame(SymplecticLattice(genus + 1), move.circle)
-            stages.append(tqft._insert_a1(lattice))
-            pending = frame if pending is None else frame @ tqft._after_first_pair(pending)
+            stages.append(insert_a1(lattice))
+            pending = frame if pending is None else frame @ after_first_pair(pending)
     if not stages:
         return _macdonald(pending.rows, cycle.n0)
     last = None if pending is None else ext_power_images(pending.rows)
@@ -811,11 +810,10 @@ def test_twist_run_words_match_the_composite():
         assert evaluate_cycle(cycle) == graded_trace(cycle), cycle
 
 
-def test_word_ending_in_up_twist_builds_no_trailing_power():
-    """The ``_stages`` fold that the lifts use: read from fiber 1, right
-    after its down, a down-twist-up-twist word folds every twist into a
-    stage and leaves no product pending, while the same word read from
-    fiber 0 ends with its up frame and last twist pending."""
+def test_down_twist_up_twist_words_match_the_composite():
+    """A down-twist-up-twist word, which evaluate_cycle reads from fiber 1
+    right after its down, equals the graded trace of the composite of lifts
+    at genus 1 to 3."""
     rng = random.Random(76)
     cases = []
     for g in (1, 2, 3):
@@ -832,22 +830,6 @@ def test_word_ending_in_up_twist_builds_no_trailing_power():
     assert sum(1 for _, value in cases if value) >= 4
     for cycle, value in cases:
         assert evaluate_cycle(cycle) == value, cycle
-        # evaluate_cycle reads the word from fiber 1, right after its down.
-        rotated = list(rotations(cycle.fibers, cycle.moves, cycle.n0))[1]
-        assert tqft._stages(rotated.moves, rotated.fibers)[1] is None
-        assert tqft._stages(cycle.moves, cycle.fibers)[1] is not None
-
-
-def test_after_first_pair_matches_the_checked_construction():
-    """1 + M skips the symplectic check: it passes it, and equals the matrix
-    the checked constructor builds from its rows."""
-    rng = random.Random(77)
-    for g in range(8):
-        lat = SymplecticLattice(g)
-        for _ in range(3):
-            m = tqft._after_first_pair(random_sp(rng, lat, length=2 * g + 1))
-            assert m._is_symplectic()
-            assert SpMatrix(SymplecticLattice(g + 1), m.rows) == m
 
 
 # -- the bordered determinant against both push oracles ---------------------
@@ -1044,7 +1026,7 @@ def test_twist_only_direct_sum_of_torus_blocks():
         rows[i][i], rows[i][g + i], rows[g + i][i], rows[g + i][g + i] = p, q, r, s
         poly = _poly_mul(poly, [1, -(p + s), 1])
     conj = random_sp(rng, lat, length=6)
-    word = [conj.inverse(), SpMatrix(lat, rows), conj]
+    word = [inverse(conj), SpMatrix(lat, rows), conj]
     cycle_moves = [ElementaryMove.twist(m) for m in word]
     start = time.perf_counter()
     for n0 in (0, 1, 5, 2 * g, 2 * g + 3):
