@@ -300,10 +300,10 @@ def cmd_dim(args: argparse.Namespace) -> dict:
 def cmd_gradings(args: argparse.Namespace) -> dict:
     doc = _load_document(args.input)
     descriptor = _parse_descriptor(doc["fibration"]) if "fibration" in doc else None
-    query = doc.get("query", {})
-    have_query = all(k in query for k in ("n_gamma", "n", "g"))
+    have_query = "query" in doc
     report: dict[str, Any] = {"command": "gradings", "spinc": []}
     if have_query:
+        query = doc["query"]
         report["query"] = {
             "n_gamma": _as_int(query["n_gamma"], "query.n_gamma"),
             "n": _as_int(query["n"], "query.n"),

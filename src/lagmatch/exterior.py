@@ -28,7 +28,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 
 class SymplecticLattice:
@@ -153,9 +153,6 @@ class ExtElement:
         scalar = Fraction(scalar)
         return ExtElement(self.lattice, {s: scalar * c for s, c in self.terms.items()})
 
-    def __mul__(self, other: "ExtElement") -> "ExtElement":
-        return wedge(self, other)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ExtElement)
@@ -165,15 +162,6 @@ class ExtElement:
 
     def __hash__(self) -> int:
         return hash((self.lattice, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, subset: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(subset), Fraction(0))
-
-    def degrees(self) -> set[int]:
-        return {len(s) for s in self.terms}
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -246,10 +234,6 @@ class LatticeProjection:
         self.source = source
         self.target = target
         self.images = tuple(images)
-
-    @classmethod
-    def identity(cls, lattice: SymplecticLattice) -> "LatticeProjection":
-        return cls(lattice, lattice, tuple(range(lattice.rank)))
 
     @classmethod
     def kill_first_pair(cls, source: SymplecticLattice) -> "LatticeProjection":
@@ -390,10 +374,6 @@ class SpMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
-
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        v = self.lattice.check_vector(v)
-        return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in self.rows)
 
     def __matmul__(self, other: "SpMatrix") -> "SpMatrix":
         if other.lattice != self.lattice:

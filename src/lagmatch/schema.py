@@ -162,6 +162,7 @@ INPUT_SCHEMA: dict = {
         },
         "query": {
             "type": "object",
+            "required": ["n_gamma", "n", "g"],
             "additionalProperties": False,
             "properties": {
                 "n_gamma": _INTLIKE,

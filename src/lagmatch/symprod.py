@@ -35,11 +35,6 @@ class RegimeViolation(Exception):
     """An operation was applied outside its (n, g) regime."""
 
 
-def monomial_degree(n: int, i: int, subset: Sequence[int]) -> int:
-    """Homological degree of U^i e_S inside Sym^n."""
-    return 2 * (n - i) - len(subset)
-
-
 class SymClass:
     """Exact rational cohomology class of Sym^n, stored monomially.
 
@@ -81,19 +76,8 @@ class SymClass:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, lattice: SymplecticLattice) -> "SymClass":
-        return cls(n, lattice, {})
-
-    @classmethod
-    def monomial(
-        cls,
-        n: int,
-        lattice: SymplecticLattice,
-        u_power: int = 0,
-        subset: Sequence[int] = (),
-        coeff: Fraction | int = 1,
-    ) -> "SymClass":
-        return cls(n, lattice, {(u_power, tuple(subset)): Fraction(coeff)})
+    def monomial(cls, n: int, lattice: SymplecticLattice, u_power: int, subset: Sequence[int]) -> "SymClass":
+        return cls(n, lattice, {(u_power, tuple(subset)): Fraction(1)})
 
     # -- linear structure --------------------------------------------
 
@@ -132,11 +116,8 @@ class SymClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, u_power: int, subset: Iterable[int] = ()) -> Fraction:
+    def coefficient(self, u_power: int, subset: Iterable[int]) -> Fraction:
         return self.terms.get((u_power, tuple(subset)), Fraction(0))
-
-    def degrees(self) -> set[int]:
-        return {monomial_degree(self.n, i, s) for (i, s) in self.terms}
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -512,29 +512,17 @@ def _elementary(rows: Sequence[Sequence[int]], m: int) -> list[int]:
     return e
 
 
-def _char_poly(matrix: SpMatrix) -> list[int]:
-    """Coefficients c[0..2g] of det(tI - A) = sum c[k] t^k.
-
-    With e_k the k-th elementary symmetric function of the eigenvalues,
-    c[2g - k] = (-1)^k e_k.  The matrix was checked symplectic when it was
-    built, so its polynomial is palindromic: only e_1..e_g are needed, and
-    c[k] = c[2g - k] gives the rest.
-    """
-    g = matrix.lattice.genus
-    c = [0] * (2 * g + 1)
-    for k, ek in enumerate(_elementary(matrix.rows, g)):
-        c[2 * g - k] = c[k] = -ek if k & 1 else ek
-    return c
-
-
 def alexander_fibered(monodromy: SpMatrix) -> tuple[int, ...]:
     """Coefficients (a_0, ..., a_g) of the Alexander form det(tI - M) / t^g.
 
-    The form is sum a_m (t^m + t^-m) with a_m = c[g + m], c from
-    ``_char_poly``.  M is symplectic, so c is monic and palindromic: a_g = 1,
-    and c[g - m] = a_m gives the other half.
+    The form is sum a_m (t^m + t^-m).  With e_k the k-th elementary
+    symmetric function of the eigenvalues, det(tI - M) = sum_k (-1)^k e_k
+    t^(2g - k), so a_m = (-1)^(g - m) e_(g - m).  M was checked symplectic
+    when it was built, so the polynomial is palindromic and monic: only
+    e_0, ..., e_g are needed, and a_g = e_0 = 1.
     """
-    return tuple(_char_poly(monodromy)[monodromy.lattice.genus:])
+    e = _elementary(monodromy.rows, monodromy.lattice.genus)
+    return tuple(-ek if k & 1 else ek for k, ek in reversed(list(enumerate(e))))
 
 
 def alexander_cycle_value(coeffs: Sequence[int], n: int, g: int) -> int:

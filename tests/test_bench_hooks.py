@@ -70,7 +70,7 @@ def test_tracing_drives_the_cz_layer(tmp_path, capsys):
     from lagmatch import cli
     from lagmatch.fixtures import FIXTURES
 
-    with_float = dict(FIXTURES["rotation-path"], query={"n": 1.0})
+    with_float = dict(FIXTURES["rotation-path"], query={"n_gamma": 1, "n": 1.0, "g": 1})
     path = tmp_path / "float.json"
     path.write_text(json.dumps(with_float))
     before = _namespaces()

@@ -113,6 +113,16 @@ def test_gradings_with_query():
     assert report["spinc"][0]["divisibility_ok"] is True
 
 
+def test_gradings_query_missing_a_key_exits_2():
+    """A query carries all of n_gamma, n and g: one that lacks any is refused."""
+    for query in ({"n": 1}, {}):
+        payload = doc(spinc=[{"c1": [4, 6]}], query=query)
+        out = run_cli(["gradings", "--input", "-"], stdin=payload)
+        assert out.returncode == 2, query
+        assert out.stdout == ""
+        assert out.stderr == "error: schema violation at query: 'n_gamma' is a required property\n"
+
+
 def test_example_subcommand():
     out = run_cli(["example", "s2xs2", "--m", "2", "--n", "3", "--json"])
     report = json.loads(out.stdout)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -44,6 +45,11 @@ def random_primitive(rng, rank, spread=3):
         v = [rng.randint(-spread, spread) for _ in range(rank)]
         if any(v) and math.gcd(*v) == 1:
             return tuple(v)
+
+
+def apply(matrix, v):
+    """The matrix times the column vector v."""
+    return tuple(sum(map(operator.mul, row, v)) for row in matrix.rows)
 
 
 def random_sp(rng, lattice, length=4):
@@ -95,7 +101,7 @@ def test_wedge_square_of_generator_vanishes():
     lat = SymplecticLattice(2)
     for i in range(4):
         x = ExtElement(lat, {(i,): 1})
-        assert wedge(x, x).is_zero()
+        assert not wedge(x, x).terms
 
 
 def test_wedge_koszul_sign():
@@ -137,7 +143,7 @@ def test_theta_divided_term_counts():
         for m in range(g + 2):
             th = theta_divided(m, lat)
             assert len(th.terms) == math.comb(g, m)
-    assert theta_divided(-1, SymplecticLattice(2)).is_zero()
+    assert not theta_divided(-1, SymplecticLattice(2)).terms
 
 
 def test_theta_divided_power_identity():
@@ -160,7 +166,7 @@ def test_contract_pinned_values():
     a1 = lat.basis_vector(0)
 
     a1_w_b1_w_a2 = ExtElement(lat, {(0, 1, 2): Fraction(-1)})  # a1^b1^a2 sorted
-    assert contract(a1, a1_w_b1_w_a2, kill).is_zero()
+    assert not contract(a1, a1_w_b1_w_a2, kill).terms
 
     b1_w_a2 = ExtElement(lat, {(1, 2): Fraction(-1)})  # b1 ^ a2
     out = contract(a1, b1_w_a2, kill)
@@ -177,14 +183,14 @@ def test_contract_drops_degree_by_one():
         x = random_element(rng, lat, degree=k)
         circle = random_primitive(rng, 6)
         out = contract(circle, x, kill)
-        assert out.is_zero() or out.degrees() == {k - 1}
+        assert not out.terms or {len(s) for s in out.terms} == {k - 1}
 
 
 def test_contract_graded_leibniz():
     """contract(c, x^y) = contract(c,x)^q(y) + (-1)^|x| q(x)^contract(c,y)."""
     rng = random.Random(10)
     lat = SymplecticLattice(3)
-    for proj in (LatticeProjection.kill_first_pair(lat), LatticeProjection.identity(lat)):
+    for proj in (LatticeProjection.kill_first_pair(lat), LatticeProjection(lat, lat, range(lat.rank))):
         for _ in range(120):
             p = rng.randint(0, 3)
             q = rng.randint(0, 3)
@@ -202,12 +208,12 @@ def test_contract_graded_leibniz():
 def test_contract_twice_along_same_circle_vanishes():
     rng = random.Random(12)
     lat = SymplecticLattice(2)
-    ident = LatticeProjection.identity(lat)
+    ident = LatticeProjection(lat, lat, range(lat.rank))
     for _ in range(100):
         x = random_element(rng, lat)
         circle = random_primitive(rng, 4)
         once = contract(circle, x, ident)
-        assert contract(circle, once, ident).is_zero()
+        assert not contract(circle, once, ident).terms
 
 
 # -- symplectic matrices -------------------------------------------------
@@ -279,7 +285,7 @@ def test_transvection_fixes_its_vector():
         for _ in range(40):
             v = random_primitive(rng, lat.rank)
             t = transvection(lat, v, rng.choice([-2, -1, 1, 2]))
-            assert t.apply(v) == v
+            assert apply(t, v) == v
 
 
 def test_transvection_formula():
@@ -293,7 +299,7 @@ def test_transvection_formula():
         expected = tuple(
             x[i] + c * intersection(lat, x, v) * v[i] for i in range(4)
         )
-        assert t.apply(x) == expected
+        assert apply(t, x) == expected
 
 
 def test_inverse_of_random_products():
@@ -364,7 +370,7 @@ def test_adapted_basis_sends_circle_to_a1():
         lat = SymplecticLattice(g)
         circle = random_primitive(rng, lat.rank)
         frame = adapted_basis(lat, circle)  # constructor enforces symplecticity
-        assert frame.apply(circle) == lat.basis_vector(0)
+        assert apply(frame, circle) == lat.basis_vector(0)
 
 
 def test_adapted_basis_rejects_imprimitive():

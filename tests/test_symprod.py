@@ -13,20 +13,12 @@ from lagmatch.symprod import (
     cap_U_classical,
     cap_U_quantum_g0,
     cap_ext,
-    monomial_degree,
     poincare_polynomial_dimension,
     restriction_classes,
 )
 
 
 class MonomialModelTest(unittest.TestCase):
-    def test_monomial_degree(self):
-        # U has degree -2 on the homological grading, e_S contributes |S|
-        self.assertEqual(monomial_degree(3, 0, ()), 6)
-        self.assertEqual(monomial_degree(3, 1, ()), 4)
-        self.assertEqual(monomial_degree(3, 0, (0,)), 5)
-        self.assertEqual(monomial_degree(2, 2, ()), 0)
-
     def test_range_enforced_on_construction(self):
         lat = SymplecticLattice(1)
         with self.assertRaises(RelationNeeded):
@@ -53,7 +45,7 @@ class MonomialModelTest(unittest.TestCase):
 
     def test_linear_structure_cancels(self):
         lat = SymplecticLattice(1)
-        x = SymClass.monomial(2, lat, 1, (), 5)
+        x = 5 * SymClass.monomial(2, lat, 1, ())
         self.assertTrue((x - x).is_zero())
         self.assertEqual((2 * x).coefficient(1, ()), 10)
 
@@ -96,7 +88,7 @@ class CapActionTest(unittest.TestCase):
 
     def test_classical_increments_u(self):
         lat = SymplecticLattice(5)  # 2n = 4 <= g - 1 = 4
-        x = SymClass.monomial(2, lat, 0, (0,), 3)
+        x = 3 * SymClass.monomial(2, lat, 0, (0,))
         y = cap_U_classical(x)
         self.assertEqual(y.coefficient(1, (0,)), 3)
         self.assertEqual(len(y.terms), 1)
