@@ -10,8 +10,10 @@ intersection pairing is the block-standard symplectic form
 so a_i . b_i = +1 and all other basis pairings vanish.
 
 Exterior algebra elements are stored sparsely: a map from strictly
-increasing index tuples to nonzero ``Fraction`` coefficients.  Koszul signs
-are computed by counting the transpositions needed to merge sorted index
+increasing index tuples to nonzero coefficients, each an ``int`` where the
+inputs are integers and a ``Fraction`` otherwise.  ``_Sparse`` holds that
+linear structure, which ``symprod.SymClass`` shares.  Koszul signs are
+computed by counting the transpositions needed to merge sorted index
 tuples.  Everything in this module is exact; no floats anywhere.
 
 Matrices act on column vectors (v maps to M @ v), and ``ext_power_action``
@@ -91,29 +93,89 @@ def _merge_sign(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, tuple[int,
     return (-1) ** (inversions & 1), merged
 
 
-class ExtElement:
-    """Sparse element of the exterior algebra of a symplectic lattice.
+def _subset(lattice: SymplecticLattice, subset: Sequence[int]) -> tuple[int, ...]:
+    """``subset`` as a tuple, checked strictly increasing and in range for the lattice."""
+    subset = tuple(subset)
+    if any(not 0 <= i < lattice.rank for i in subset):
+        raise ValueError(f"index tuple {subset} out of range for rank {lattice.rank}")
+    if list(subset) != sorted(set(subset)):
+        raise ValueError(f"index tuple {subset} is not strictly increasing")
+    return subset
 
-    ``terms`` maps strictly increasing index tuples to nonzero Fractions;
-    the empty tuple names the scalar part.  Instances should be treated as
-    immutable.
+
+def _coefficient(c: Fraction | int) -> Fraction | int:
+    """An ``int`` as it is; any other number as an exact ``Fraction``."""
+    return c if type(c) is int else Fraction(c)
+
+
+class _Sparse:
+    """A sparse linear combination: ``terms`` maps keys to nonzero coefficients.
+
+    An ``int`` coefficient stays an ``int`` and any other becomes a
+    ``Fraction``, so integer inputs give integer results.  A subclass
+    takes its space and then the terms, names the space in ``_space``
+    and checks each key, zero coefficients included, in ``_key``.
+    Instances should be treated as immutable.
     """
 
-    __slots__ = ("lattice", "terms")
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping):
+        clean = {}
+        for key, coeff in terms.items():
+            key = self._key(key)
+            coeff = _coefficient(coeff)
+            if coeff:
+                clean[key] = coeff
+        self.terms = clean
+
+    def __add__(self, other: _Sparse) -> _Sparse:
+        if other._space() != self._space():
+            raise ValueError("elements live over different spaces")
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out.get(key, 0) + coeff
+        return type(self)(*self._space(), out)
+
+    def __sub__(self, other: _Sparse) -> _Sparse:
+        return self + (-other)
+
+    def __neg__(self) -> _Sparse:
+        return type(self)(*self._space(), {k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, scalar: Fraction | int) -> _Sparse:
+        scalar = _coefficient(scalar)
+        return type(self)(*self._space(), {k: scalar * c for k, c in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, type(self))
+            and other._space() == self._space()
+            and other.terms == self.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((*self._space(), frozenset(self.terms.items())))
+
+
+class ExtElement(_Sparse):
+    """Sparse element of the exterior algebra of a symplectic lattice.
+
+    ``terms`` maps strictly increasing index tuples to nonzero ``int`` or
+    ``Fraction`` coefficients; the empty tuple names the scalar part.
+    """
+
+    __slots__ = ("lattice",)
 
     def __init__(self, lattice: SymplecticLattice, terms: Mapping[tuple[int, ...], Fraction | int]):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for subset, coeff in terms.items():
-            subset = tuple(subset)
-            if any(not 0 <= i < lattice.rank for i in subset):
-                raise ValueError(f"index tuple {subset} out of range for rank {lattice.rank}")
-            if list(subset) != sorted(set(subset)):
-                raise ValueError(f"index tuple {subset} is not strictly increasing")
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[subset] = coeff
         self.lattice = lattice
-        self.terms = clean
+        super().__init__(terms)
+
+    def _space(self) -> tuple[SymplecticLattice]:
+        return (self.lattice,)
+
+    def _key(self, subset: tuple[int, ...]) -> tuple[int, ...]:
+        return _subset(self.lattice, subset)
 
     # -- constructors ------------------------------------------------
 
@@ -123,45 +185,12 @@ class ExtElement:
 
     @classmethod
     def scalar(cls, lattice: SymplecticLattice, c: Fraction | int) -> "ExtElement":
-        return cls(lattice, {(): Fraction(c)})
+        return cls(lattice, {(): c})
 
     @classmethod
     def from_vector(cls, lattice: SymplecticLattice, coords: Sequence[int]) -> "ExtElement":
         coords = lattice.check_vector(coords)
-        return cls(lattice, {(i,): Fraction(c) for i, c in enumerate(coords) if c})
-
-    # -- ring/module structure ----------------------------------------
-
-    def _require_same_lattice(self, other: "ExtElement") -> None:
-        if self.lattice != other.lattice:
-            raise ValueError("elements live over different lattices")
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        self._require_same_lattice(other)
-        out = dict(self.terms)
-        for subset, coeff in other.terms.items():
-            out[subset] = out.get(subset, Fraction(0)) + coeff
-        return ExtElement(self.lattice, out)
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ExtElement":
-        return ExtElement(self.lattice, {s: -c for s, c in self.terms.items()})
-
-    def __rmul__(self, scalar: Fraction | int) -> "ExtElement":
-        scalar = Fraction(scalar)
-        return ExtElement(self.lattice, {s: scalar * c for s, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExtElement)
-            and other.lattice == self.lattice
-            and other.terms == self.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, frozenset(self.terms.items())))
+        return cls(lattice, {(i,): c for i, c in enumerate(coords) if c})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -176,35 +205,33 @@ class ExtElement:
 
 def wedge(x: ExtElement, y: ExtElement) -> ExtElement:
     """Exterior product, with Koszul signs from merge inversions."""
-    x._require_same_lattice(y)
-    out: dict[tuple[int, ...], Fraction] = {}
+    if x.lattice != y.lattice:
+        raise ValueError("elements live over different lattices")
+    out: dict[tuple[int, ...], Fraction | int] = {}
     for s, cs in x.terms.items():
         for t, ct in y.terms.items():
             sign, merged = _merge_sign(s, t)
             if sign:
                 assert merged is not None
-                out[merged] = out.get(merged, Fraction(0)) + sign * cs * ct
+                out[merged] = out.get(merged, 0) + sign * cs * ct
     return ExtElement(x.lattice, out)
 
 
 def theta_divided(m: int, lattice: SymplecticLattice) -> ExtElement:
     """Divided power theta^m / m! of theta = sum_i a_i ^ b_i.
 
-    Expands to the sum over all m-element subsets T of {1..g} of the wedge
-    of the corresponding a_i ^ b_i pairs.  Negative m gives 0; m > g gives
-    0 because theta^{g+1} = 0 already in the exterior algebra.
+    The sum over the m-element subsets T of {1..g} of the wedge of the
+    pairs a_i ^ b_i, i in T, in closed form: moving the m b's past the
+    a's that follow them sorts each term to e_{T, g + T} with the sign
+    (-1)^(m(m-1)/2).  Negative m gives 0, and so does m > g, which has no
+    m-subsets: theta^{g+1} = 0 already in the exterior algebra.
     """
     g = lattice.genus
-    if m < 0 or m > g:
+    if m < 0:
         return ExtElement.zero(lattice)
-    total = ExtElement.zero(lattice)
-    for chosen in itertools.combinations(range(g), m):
-        term = ExtElement.scalar(lattice, 1)
-        for i in chosen:
-            pair = ExtElement(lattice, {(i, g + i): Fraction(1)})
-            term = wedge(term, pair)
-        total = total + term
-    return total
+    sign = -1 if m * (m - 1) // 2 & 1 else 1
+    terms = {t + tuple(g + i for i in t): sign for t in itertools.combinations(range(g), m)}
+    return ExtElement(lattice, terms)
 
 
 class LatticeProjection:
@@ -271,11 +298,11 @@ class LatticeProjection:
     def map_element(self, x: ExtElement) -> ExtElement:
         if x.lattice != self.source:
             raise ValueError("element lattice does not match projection source")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Fraction | int] = {}
         for subset, coeff in x.terms.items():
             image = self.map_subset(subset)
             if image is not None:
-                out[image] = out.get(image, Fraction(0)) + coeff
+                out[image] = out.get(image, 0) + coeff
         return ExtElement(self.target, out)
 
 
@@ -303,7 +330,7 @@ def contract(
     for i in range(g):
         pairing[i] = circle[g + i]
         pairing[g + i] = -circle[i]
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Fraction | int] = {}
     for subset, coeff in x.terms.items():
         for pos, i in enumerate(subset):
             p = pairing[i]
@@ -314,7 +341,7 @@ def contract(
             if image is None:
                 continue
             sign = -1 if pos & 1 else 1
-            out[image] = out.get(image, Fraction(0)) + sign * p * coeff
+            out[image] = out.get(image, 0) + sign * p * coeff
     return ExtElement(projection.target, out)
 
 

@@ -12,7 +12,8 @@ does not carry, and raise :class:`RelationNeeded`.  The two U-actions
 (classical, quantum genus zero) each guard their regime and raise
 :class:`RegimeViolation` outside it.
 
-Everything here is exact rational arithmetic.
+Everything here is exact: coefficients are ``int`` where the inputs are
+integers and ``Fraction`` otherwise, as in ``exterior``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exterior import ExtElement, SymplecticLattice, _merge_sign
+from .exterior import ExtElement, SymplecticLattice, _merge_sign, _Sparse, _subset
 
 Monomial = tuple[int, tuple[int, ...]]
 
@@ -35,14 +36,14 @@ class RegimeViolation(Exception):
     """An operation was applied outside its (n, g) regime."""
 
 
-class SymClass:
-    """Exact rational cohomology class of Sym^n, stored monomially.
+class SymClass(_Sparse):
+    """Exact cohomology class of Sym^n, stored monomially.
 
-    ``terms`` maps (i, S) to nonzero Fractions.  Instances are immutable in
-    spirit; all operations return fresh objects.
+    ``terms`` maps (i, S) to nonzero ``int`` or ``Fraction`` coefficients.
+    Instances are immutable in spirit; all operations return fresh objects.
     """
 
-    __slots__ = ("n", "lattice", "terms")
+    __slots__ = ("n", "lattice")
 
     def __init__(
         self,
@@ -52,72 +53,33 @@ class SymClass:
     ):
         if n < 0:
             raise ValueError("symmetric product degree n must be nonnegative")
-        clean: dict[Monomial, Fraction] = {}
-        for (i, subset), coeff in terms.items():
-            subset = tuple(subset)
-            if i < 0:
-                raise ValueError(f"negative U-power in monomial ({i}, {subset})")
-            if any(not 0 <= k < lattice.rank for k in subset):
-                raise ValueError(f"index tuple {subset} out of range")
-            if list(subset) != sorted(set(subset)):
-                raise ValueError(f"index tuple {subset} is not strictly increasing")
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
+        self.n = n
+        self.lattice = lattice
+        super().__init__(terms)
+        for i, subset in self.terms:
             if i + len(subset) > n:
                 raise RelationNeeded(
                     f"monomial U^{i} e_{subset} outside the range i + |S| <= {n}"
                 )
-            clean[(i, subset)] = coeff
-        self.n = n
-        self.lattice = lattice
-        self.terms = clean
 
-    # -- constructors ------------------------------------------------
+    def _space(self) -> tuple[int, SymplecticLattice]:
+        return self.n, self.lattice
+
+    def _key(self, key: Monomial) -> Monomial:
+        i, subset = key
+        if i < 0:
+            raise ValueError(f"negative U-power in monomial ({i}, {tuple(subset)})")
+        return i, _subset(self.lattice, subset)
 
     @classmethod
     def monomial(cls, n: int, lattice: SymplecticLattice, u_power: int, subset: Sequence[int]) -> "SymClass":
-        return cls(n, lattice, {(u_power, tuple(subset)): Fraction(1)})
-
-    # -- linear structure --------------------------------------------
-
-    def _require_compatible(self, other: "SymClass") -> None:
-        if self.n != other.n or self.lattice != other.lattice:
-            raise ValueError("classes live on different symmetric products")
-
-    def __add__(self, other: "SymClass") -> "SymClass":
-        self._require_compatible(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return SymClass(self.n, self.lattice, out)
-
-    def __sub__(self, other: "SymClass") -> "SymClass":
-        return self + (-other)
-
-    def __neg__(self) -> "SymClass":
-        return SymClass(self.n, self.lattice, {k: -c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar: Fraction | int) -> "SymClass":
-        scalar = Fraction(scalar)
-        return SymClass(self.n, self.lattice, {k: scalar * c for k, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SymClass)
-            and other.n == self.n
-            and other.lattice == self.lattice
-            and other.terms == self.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.lattice, frozenset(self.terms.items())))
+        return cls(n, lattice, {(u_power, tuple(subset)): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, u_power: int, subset: Iterable[int]) -> Fraction:
-        return self.terms.get((u_power, tuple(subset)), Fraction(0))
+    def coefficient(self, u_power: int, subset: Iterable[int]) -> Fraction | int:
+        return self.terms.get((u_power, tuple(subset)), 0)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -132,13 +94,16 @@ class SymClass:
 
 
 def basis(n: int, lattice: SymplecticLattice) -> list[Monomial]:
-    """All monomials (i, S) with i + |S| <= n, in a fixed deterministic order."""
+    """All monomials (i, S) with i + |S| <= n, in (|S|, S, i) order.
+
+    ``itertools.combinations`` yields the subsets of each size in
+    lexicographic order, so the loops emit that order with no sort.
+    """
     out: list[Monomial] = []
     for k in range(0, min(n, lattice.rank) + 1):
         for subset in itertools.combinations(range(lattice.rank), k):
             for i in range(0, n - k + 1):
                 out.append((i, subset))
-    out.sort(key=lambda m: (len(m[1]), m[1], m[0]))
     return out
 
 
@@ -153,29 +118,6 @@ def poincare_polynomial_dimension(n: int, g: int) -> int:
     return sum((n + 1 - k) * math.comb(2 * g, k) for k in range(0, min(n, 2 * g) + 1))
 
 
-def _collect(
-    n: int,
-    lattice: SymplecticLattice,
-    pieces: Iterable[tuple[Monomial, Fraction]],
-    context: str,
-) -> SymClass:
-    """Accumulate monomial contributions, tolerating cancellation.
-
-    Range violations only count if they survive cancellation; a nonzero
-    out-of-range monomial raises RelationNeeded with the offending term.
-    """
-    acc: dict[Monomial, Fraction] = {}
-    for key, coeff in pieces:
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-    bad = [(i, s) for (i, s), c in acc.items() if c and i + len(s) > n]
-    if bad:
-        i, s = bad[0]
-        raise RelationNeeded(
-            f"{context}: monomial U^{i} e_{s} leaves the range i + |S| <= {n}"
-        )
-    return SymClass(n, lattice, {k: c for k, c in acc.items() if c})
-
-
 def cap_ext(omega: ExtElement, x: SymClass) -> SymClass:
     """Wedge an exterior-algebra element into the Lambda-factor (on the left).
 
@@ -185,16 +127,14 @@ def cap_ext(omega: ExtElement, x: SymClass) -> SymClass:
     """
     if omega.lattice != x.lattice:
         raise ValueError("lattice mismatch")
-
-    def pieces() -> Iterable[tuple[Monomial, Fraction]]:
-        for t, ct in omega.terms.items():
-            for (i, s), cs in x.terms.items():
-                sign, merged = _merge_sign(t, s)
-                if sign:
-                    assert merged is not None
-                    yield (i, merged), sign * ct * cs
-
-    return _collect(x.n, x.lattice, pieces(), "mu-type cap")
+    out: dict[Monomial, Fraction | int] = {}
+    for t, ct in omega.terms.items():
+        for (i, s), cs in x.terms.items():
+            sign, merged = _merge_sign(t, s)
+            if sign:
+                assert merged is not None
+                out[i, merged] = out.get((i, merged), 0) + sign * ct * cs
+    return SymClass(x.n, x.lattice, out)
 
 
 def cap_U_classical(x: SymClass) -> SymClass:
@@ -208,12 +148,7 @@ def cap_U_classical(x: SymClass) -> SymClass:
         raise RegimeViolation(
             f"classical U-action needs 2n <= g-1; got n={x.n}, g={g}"
         )
-    return _collect(
-        x.n,
-        x.lattice,
-        (((i + 1, s), c) for (i, s), c in x.terms.items()),
-        "classical U-action",
-    )
+    return SymClass(x.n, x.lattice, {(i + 1, s): c for (i, s), c in x.terms.items()})
 
 
 def cap_U_quantum_g0(x: SymClass, exponent: int = 1) -> SymClass:
@@ -226,11 +161,7 @@ def cap_U_quantum_g0(x: SymClass, exponent: int = 1) -> SymClass:
     if x.lattice.genus != 0:
         raise RegimeViolation("genus-0 quantum action applied to positive genus")
     period = x.n + 1
-    out: dict[Monomial, Fraction] = {}
-    for (i, s), c in x.terms.items():
-        key = ((i + exponent) % period, s)
-        out[key] = out.get(key, Fraction(0)) + c
-    return SymClass(x.n, x.lattice, out)
+    return SymClass(x.n, x.lattice, {((i + exponent) % period, s): c for (i, s), c in x.terms.items()})
 
 
 class EtaThetaClass(NamedTuple):

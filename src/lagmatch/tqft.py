@@ -388,9 +388,8 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
     T_k = T_(2 g_r - k), and T has degree at most 2 g_r.  The value is
     sum over k <= min(n0', 2 g_r) of (n0' - k + 1) T_min(k, 2 g_r - k), so
     only t^0 .. t^N with N = min(n0', g_r) are formed, and all is mod
-    t^(N+1): p from Newton's identities, E a scalar when h = 1 and Bird's
-    division-free determinant otherwise, and the division by p^(h-1) exact
-    since p_0 = 1.  ``test_every_mirrored_degree_matches_the_fiber_zero_oracle``
+    t^(N+1): p from Newton's identities, det E from Bird's division-free
+    determinant, and the division by p^(h-1) exact since p_0 = 1.  ``test_every_mirrored_degree_matches_the_fiber_zero_oracle``
     guards the half: it reads T from the fiber-0 push at every degree up to
     2 g_r + 1 and checks both the values and the palindromy.
     """
@@ -444,7 +443,7 @@ def evaluate_cycle(cycle: MorseCycle) -> int:
         ]
         for phi, w_row in zip(phis, ws)
     ]
-    series = p if not h else e[0][0] if h == 1 else _bird_det(e)
+    series = _bird_det(e) if h else p
     for _ in range(h - 1):
         for m in range(1, n + 1):
             series[m] -= sum(p[j] * series[m - j] for j in range(1, m + 1))
@@ -593,8 +592,8 @@ def worked_example(name: str, m: int, n: int) -> ExampleReport:
             )
         lattice = SymplecticLattice(0)
         exponent = (m + 1) * (n + 1) - 1
-        state = cap_U_quantum_g0(SymClass.monomial(n, lattice, 0, ()), exponent % (n + 1))
-        value = int(state.coefficient(n, ()))
+        state = cap_U_quantum_g0(SymClass.monomial(n, lattice, 0, ()), exponent)
+        value = state.coefficient(n, ())
         return ExampleReport(
             name, m, n, value, f"U^{n}",
             (f"quantum U-exponent {exponent} reduced mod period {n + 1}",),
@@ -611,8 +610,8 @@ def worked_example(name: str, m: int, n: int) -> ExampleReport:
         surgered = _move_image(ElementaryMove.down(torus.basis_vector(0)), 1)((1,))  # the b_1 monomial
         state = SymClass(n - 1, SymplecticLattice(0), {(0, t): c for t, c in surgered.items()})
         exponent = n * (m + 1) - 1
-        state = cap_U_quantum_g0(state, exponent % n)
-        value = int(state.coefficient(n - 1, ()))
+        state = cap_U_quantum_g0(state, exponent)
+        value = state.coefficient(n - 1, ())
         if abs(value) != 1 or len(state.terms) != 1:
             raise AssertionError("model evaluation did not land on a single unit monomial")
         return ExampleReport(

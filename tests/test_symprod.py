@@ -4,7 +4,14 @@ import random
 import unittest
 from fractions import Fraction
 
-from lagmatch.exterior import ExtElement, SymplecticLattice, theta_divided
+from lagmatch.exterior import (
+    ExtElement,
+    LatticeProjection,
+    SymplecticLattice,
+    contract,
+    theta_divided,
+    wedge,
+)
 from lagmatch.symprod import (
     RegimeViolation,
     RelationNeeded,
@@ -16,6 +23,7 @@ from lagmatch.symprod import (
     poincare_polynomial_dimension,
     restriction_classes,
 )
+from lagmatch.tqft import down_map
 
 
 class MonomialModelTest(unittest.TestCase):
@@ -35,6 +43,7 @@ class MonomialModelTest(unittest.TestCase):
                 self.assertEqual(
                     len(basis(n, lat)), poincare_polynomial_dimension(n, g), (g, n)
                 )
+                self.assertEqual(basis(n, lat), sorted(basis(n, lat), key=lambda m: (len(m[1]), m[1], m[0])))
 
     def test_basis_count_closed_form_in_stable_range(self):
         # once n >= 2g - 1 every subset size occurs: (n + 1 - g) 4^g classes
@@ -48,6 +57,36 @@ class MonomialModelTest(unittest.TestCase):
         x = 5 * SymClass.monomial(2, lat, 1, ())
         self.assertTrue((x - x).is_zero())
         self.assertEqual((2 * x).coefficient(1, ()), 10)
+
+    def test_int_inputs_keep_int_coefficients_and_every_key_is_checked(self):
+        lat = SymplecticLattice(2)
+        x = ExtElement(lat, {(0,): 2, (1,): -3})
+        y = ExtElement(lat, {(2,): 5, (3,): 1})
+        down = down_map((1, 0, 0, 0), 2, lat)
+        results = [
+            wedge(x, y),
+            contract((1, 1, 0, 0), wedge(x, y), LatticeProjection.kill_first_pair(lat)),
+            theta_divided(2, lat),
+            cap_ext(x, SymClass.monomial(2, lat, 0, (2,))),
+            cap_U_quantum_g0(SymClass(2, SymplecticLattice(0), {(0, ()): 4, (1, ()): -1}), 5),
+            down.apply(3 * down.src.element((0, (2,))) - down.src.element((0, (2, 3)))),
+        ]
+        for result in results:
+            self.assertTrue(result.terms, result)
+            self.assertEqual({type(c) for c in result.terms.values()}, {int}, result)
+        half = wedge(Fraction(1, 2) * x, y)
+        self.assertEqual({type(c) for c in half.terms.values()}, {Fraction})
+        self.assertEqual(2 * half, wedge(x, y))
+        self.assertEqual(half.terms[(1, 2)], Fraction(-15, 2))
+        for build in (
+            lambda: ExtElement(lat, {(0, 4): 0}),
+            lambda: SymClass(2, lat, {(0, (4,)): 0}),
+            lambda: SymClass(2, lat, {(0, (3, 1)): 0}),
+            lambda: SymClass(2, lat, {(-1, ()): 0}),
+        ):
+            with self.assertRaises(ValueError):
+                build()
+        self.assertTrue(SymClass(1, lat, {(2, ()): 0}).is_zero())  # outside i + |S| <= n, but 0
 
 
 class CapActionTest(unittest.TestCase):
